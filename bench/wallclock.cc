@@ -248,7 +248,8 @@ Metric BenchTatpE2e() {
 /// measures group-commit overlap, not parallel compute, and the checker
 /// must not demand a speedup the hardware cannot produce.
 void AddThreadedExtras(Metric* m, int threads,
-                       const exec::ThreadedBackend::RunReport& rep) {
+                       const exec::ThreadedBackend::RunReport& rep,
+                       const exec::ThreadedStats& stats) {
   m->extras.emplace_back("txn_per_sec", rep.txn_per_sec);
   m->extras.emplace_back("threads", static_cast<double>(threads));
   m->extras.emplace_back(
@@ -267,13 +268,21 @@ void AddThreadedExtras(Metric* m, int threads,
                          static_cast<double>(rep.wal.appends));
   m->extras.emplace_back("wal_flushes",
                          static_cast<double>(rep.wal.flushes));
+  m->extras.emplace_back("wal_group_commit_waits",
+                         static_cast<double>(rep.wal.group_commit_waits));
+  // Warmup included, like the WAL counters: wal_flushes / write_commits is
+  // the number of fsyncs a write commit costs.
+  m->extras.emplace_back(
+      "write_commits",
+      static_cast<double>(stats.commits - stats.read_only_commits));
 }
 
 /// TATP on the real-thread backend (exec::ThreadedBackend), closed loop
 /// with `threads` client threads. Same engine code as tatp_e2e_dora but
-/// host time is the clock and the group-commit WAL flusher is a real
-/// thread with the default 50us fsync stub — so even on one core the
-/// sweep shows durability waits overlapping as clients are added.
+/// host time is the clock and group commit is real: the first waiting
+/// committer leads each flush through the default 50us fsync stub — so
+/// even on one core the sweep shows durability waits overlapping as
+/// clients are added.
 Metric BenchTatpThreaded(int threads) {
   sim::Simulator sim;
   engine::EngineConfig cfg;  // default: DORA mode, commodity server
@@ -294,7 +303,7 @@ Metric BenchTatpThreaded(int threads) {
   Metric m =
       t.Stop("tatp_threaded_t" + std::to_string(threads), rep.committed);
   backend.Shutdown();
-  AddThreadedExtras(&m, threads, rep);
+  AddThreadedExtras(&m, threads, rep, backend.stats());
   return m;
 }
 
@@ -323,7 +332,7 @@ Metric BenchTpccThreaded(int threads) {
   Metric m =
       t.Stop("tpcc_threaded_t" + std::to_string(threads), rep.committed);
   backend.Shutdown();
-  AddThreadedExtras(&m, threads, rep);
+  AddThreadedExtras(&m, threads, rep, backend.stats());
   return m;
 }
 

@@ -18,11 +18,11 @@ namespace bionicdb::exec {
 ///    correctness oracle for the threaded backend.
 ///
 ///  - kThreaded: one std::thread agent per DORA partition, real MPSC queues,
-///    real monotonic clocks, a real group-commit WAL flusher thread. The
-///    engine's *functional* code (B+Tree, overlay, undo/redo, wait-die
-///    partition locks) is shared with the simulator; only the substrate
-///    (queues, clocks, waiting, durability) differs. Throughput here is
-///    host-machine wall clock, not a model.
+///    real monotonic clocks, a real group-commit WAL whose committers lead
+///    their own flushes. The engine's *functional* code (B+Tree, overlay,
+///    undo/redo, wait-die partition locks) is shared with the simulator;
+///    only the substrate (queues, clocks, waiting, durability) differs.
+///    Throughput here is host-machine wall clock, not a model.
 enum class Backend : uint8_t { kSimulated = 0, kThreaded = 1 };
 
 inline const char* BackendName(Backend b) {

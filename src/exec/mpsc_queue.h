@@ -13,6 +13,12 @@
 
 namespace bionicdb::exec {
 
+/// Yields a waiting thread spends polling before it parks on a condvar.
+/// Shared by the mailbox's Pop and ThreadedRvp::Wait: parking an idle
+/// agent (or a client between phases) too early turns every hand-off into
+/// a futex wake and stalls the chain of queues behind it (paper §5.5).
+inline constexpr int kSpinYieldsBeforePark = 64;
+
 /// Bounded blocking queue for real threads. Producers are the client/driver
 /// threads dispatching actions and release messages; the single consumer is
 /// the partition's agent thread (the ring itself is MPMC-safe, so "single
@@ -36,10 +42,13 @@ class MpscBlockingQueue {
   /// complexity.
   void Push(T item) {
     while (!ring_.TryPush(item)) std::this_thread::yield();
-    // Pair with the sleeper protocol below: the ring push is sequentially
-    // consistent with the sleepers_ load, so either the consumer's re-check
-    // sees the item or we see its registration and wake it.
-    if (sleepers_.load(std::memory_order_seq_cst) > 0) {
+    // Dekker pair with Pop's registration. The ring publishes through a
+    // release store, which may otherwise be reordered after the load below
+    // (x86 does store->load reordering): the consumer would miss the item
+    // and we would miss its registration. With a seq_cst fence on both
+    // sides, either its re-check sees the item or we see it and wake it.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (sleepers_.load(std::memory_order_relaxed) > 0) {
       std::lock_guard<std::mutex> lk(mu_);
       cv_.notify_all();
     }
@@ -50,18 +59,19 @@ class MpscBlockingQueue {
   std::optional<T> TryPop() { return ring_.TryPop(); }
 
   /// Blocking pop: brief spin, then park on the condvar. The re-check after
-  /// registering in `sleepers_` (under the lock) closes the lost-wakeup
-  /// window against Push's post-push sleeper check.
+  /// registering in `sleepers_` (under the lock, behind a fence) closes the
+  /// lost-wakeup window against Push's post-publish sleeper check.
   T Pop() {
-    for (int spin = 0; spin < 64; ++spin) {
+    for (int spin = 0; spin < kSpinYieldsBeforePark; ++spin) {
       if (auto item = ring_.TryPop()) return std::move(*item);
       std::this_thread::yield();
     }
     std::unique_lock<std::mutex> lk(mu_);
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    sleepers_.fetch_add(1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     for (;;) {
       if (auto item = ring_.TryPop()) {
-        sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+        sleepers_.fetch_sub(1, std::memory_order_relaxed);
         return std::move(*item);
       }
       cv_.wait(lk);

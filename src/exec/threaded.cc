@@ -35,7 +35,6 @@ ThreadedBackend::~ThreadedBackend() { Shutdown(); }
 void ThreadedBackend::Start() {
   BIONICDB_CHECK(!started_);
   started_ = true;
-  wal_.Start();
   engine_->AttachThreadedBackend(this);
   for (uint32_t i = 0; i < partitions_.size(); ++i) {
     agents_.emplace_back([this, i] { AgentLoop(i); });
@@ -51,7 +50,7 @@ void ThreadedBackend::Shutdown() {
   }
   for (auto& t : agents_) t.join();
   agents_.clear();
-  wal_.Stop();
+  wal_.Flush();
   engine_->AttachThreadedBackend(nullptr);
   started_ = false;
 }
@@ -75,7 +74,7 @@ void ThreadedBackend::AgentLoop(uint32_t pid) {
       // Arrive before running the woken actions: the releasing driver only
       // needs its locks gone, and the woken actions belong to other
       // transactions whose drivers are still parked in their own Wait().
-      msg.latch->Arrive();
+      msg.released->Arrive();
       for (dora::Action* a : ready) HandleAction(part, a);
       continue;
     }
@@ -254,23 +253,23 @@ void ThreadedBackend::AbortTxn(txn::Xct* xct) {
 void ThreadedBackend::ReleaseTxnLocks(txn::Xct* xct) {
   if (engine_->config().mode == engine::EngineMode::kConventional) return;
   // Safe to read held_locks without the mutex: every action has arrived
-  // (the RVP's mutex carries the happens-before edge) and no agent touches
-  // this transaction again until the release messages below.
+  // (the RVP carries the happens-before edge) and no agent touches this
+  // transaction again until the release messages below.
   uint64_t mask = 0;
   for (const auto& [pid, key] : xct->held_locks) mask |= uint64_t{1} << pid;
   if (mask == 0) return;
-  ReleaseLatch latch(std::popcount(mask));
+  ThreadedRvp released(std::popcount(mask));
   for (uint32_t pid = 0; pid < partitions_.size(); ++pid) {
     if (((mask >> pid) & 1) == 0) continue;
     Msg msg;
     msg.kind = Msg::Kind::kRelease;
     msg.release_xct = xct;
-    msg.latch = &latch;
+    msg.released = &released;
     queues_[pid]->Push(msg);
   }
   // Synchronous: the Xct lives on this caller's stack, so the release must
   // not outlive Execute().
-  latch.Wait();
+  released.Wait();
 }
 
 dora::Action* ThreadedBackend::AcquireAction() {

@@ -1,7 +1,8 @@
 // ThreadedBackend: the real-thread execution backend. One std::thread agent
-// per DORA partition, real MPSC mailboxes, a real group-commit WAL flusher.
-// Runs the same engine/DORA/workload code as the simulator; the simulator
-// remains the determinism oracle (see docs/EXECUTION.md).
+// per DORA partition, real MPSC mailboxes, spin-then-park completions, a
+// real group-commit WAL whose committers lead their own flushes. Runs the
+// same engine/DORA/workload code as the simulator; the simulator remains
+// the determinism oracle (see docs/EXECUTION.md).
 #pragma once
 
 #include <atomic>
@@ -26,34 +27,61 @@
 
 namespace bionicdb::exec {
 
-/// Real-thread rendezvous point: joins a phase's actions across partition
-/// agent threads. Mirrors dora::Rvp (first non-OK status wins) with a
-/// mutex/condvar instead of a simulated Completion. The mutex also carries
+/// Real-thread completion: the client thread waits here for a phase's
+/// actions, or for its lock-release messages, to arrive from the partition
+/// agents. Mirrors dora::Rvp (first non-OK status wins). Wait() spins for
+/// kSpinYieldsBeforePark yields before it parks on the condvar, so a
+/// short phase hands control back without a futex round trip.
+///
+/// The waiter may destroy the completion as soon as Wait() returns (it
+/// lives on the client's stack). An arriver touches it only up to its
+/// decrement — unless that decrement is the last one and finds the waiter
+/// parked, in which case the arriver wakes it under the mutex the waiter
+/// must reacquire before it can return. The acq_rel decrement also carries
 /// the happens-before edge from each agent's writes (locks recorded on the
-/// Xct, undo entries, table mutations) to the driver thread that proceeds
-/// past Wait().
+/// Xct, undo entries, table mutations) to the client past Wait().
 class ThreadedRvp {
  public:
-  explicit ThreadedRvp(int count) : remaining_(count) {}
+  explicit ThreadedRvp(int count) : state_(static_cast<uint32_t>(count)) {}
   BIONICDB_DISALLOW_COPY_AND_ASSIGN(ThreadedRvp);
 
-  void Arrive(Status st) {
+  void Arrive(Status st = Status::OK()) {
+    if (!st.ok()) {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (agg_.ok()) agg_ = std::move(st);
+    }
+    const uint32_t prev = state_.fetch_sub(1, std::memory_order_acq_rel);
+    if (prev != (kParked | 1)) return;  // not last, or waiter still spinning
     std::lock_guard<std::mutex> lk(mu_);
-    if (!st.ok() && agg_.ok()) agg_ = st;
-    if (--remaining_ == 0) cv_.notify_one();
+    woken_ = true;
+    cv_.notify_one();
   }
 
   Status Wait() {
+    for (int spin = 0; spin < kSpinYieldsBeforePark; ++spin) {
+      if (state_.load(std::memory_order_acquire) == 0) return agg_;
+      std::this_thread::yield();
+    }
     std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return remaining_ == 0; });
+    // Flag the wait so the last arriver wakes us, unless it already came.
+    uint32_t s = state_.load(std::memory_order_acquire);
+    while (s != 0 && !state_.compare_exchange_weak(s, s | kParked,
+                                                   std::memory_order_acq_rel,
+                                                   std::memory_order_acquire)) {
+    }
+    if (s != 0) cv_.wait(lk, [&] { return woken_; });
     return agg_;
   }
 
  private:
+  /// Set in state_ by a waiter that has given up spinning.
+  static constexpr uint32_t kParked = 1u << 31;
+
+  std::atomic<uint32_t> state_;  // arrivals outstanding | kParked
   std::mutex mu_;
   std::condition_variable cv_;
-  int remaining_;
-  Status agg_;
+  bool woken_ = false;  // guarded by mu_
+  Status agg_;          // written under mu_, read by the waiter once done
 };
 
 /// Wall-clock run counters (the threaded analogue of engine::RunMetrics;
@@ -73,7 +101,7 @@ struct ThreadedStats {
 /// Drives an Engine on real host threads. Construction wires one
 /// dora::Partition (lock + park tables; the partition's SimQueue is unused)
 /// and one MPSC mailbox per engine partition; Start() spawns the agent
-/// threads and the WAL flusher.
+/// threads.
 ///
 /// Functional behavior matches the simulator backend exactly — same
 /// routing (Mix64 of the sorted first lock key), same wait-die policy via
@@ -112,13 +140,13 @@ class ThreadedBackend {
   ~ThreadedBackend();
   BIONICDB_DISALLOW_COPY_AND_ASSIGN(ThreadedBackend);
 
-  /// Spawns the partition agents and the WAL flusher, and attaches this
-  /// backend to the engine (flipping its ops onto the threaded paths).
-  /// Call after tables are created and loaded.
+  /// Spawns the partition agents and attaches this backend to the engine
+  /// (flipping its ops onto the threaded paths). Call after tables are
+  /// created and loaded.
   void Start();
 
   /// Drains agents (all submitted transactions must have completed), joins
-  /// every thread, flushes and stops the WAL, and detaches from the engine.
+  /// them, flushes the WAL's tail, and detaches from the engine.
   void Shutdown();
 
   /// Runs one transaction to commit or abort on the calling thread,
@@ -197,32 +225,17 @@ class ThreadedBackend {
   dora::Partition* partition(uint32_t id) { return partitions_[id].get(); }
 
  private:
-  struct ReleaseLatch {
-    explicit ReleaseLatch(int count) : remaining(count) {}
-    void Arrive() {
-      std::lock_guard<std::mutex> lk(mu);
-      if (--remaining == 0) cv.notify_one();
-    }
-    void Wait() {
-      std::unique_lock<std::mutex> lk(mu);
-      cv.wait(lk, [&] { return remaining == 0; });
-    }
-    std::mutex mu;
-    std::condition_variable cv;
-    int remaining;
-  };
-
   /// Partition mailbox message. Exactly one meaning:
   ///  kAction  — run/lock this action;
   ///  kRelease — release `release_xct`'s locks on this partition, wake
-  ///             parked actions, then arrive at `latch`;
+  ///             parked actions, then arrive at `released`;
   ///  kStop    — agent poison pill.
   struct Msg {
     enum class Kind : uint8_t { kStop = 0, kAction, kRelease };
     Kind kind = Kind::kStop;
     dora::Action* action = nullptr;
     txn::Xct* release_xct = nullptr;
-    ReleaseLatch* latch = nullptr;
+    ThreadedRvp* released = nullptr;
   };
 
   void AgentLoop(uint32_t pid);
@@ -238,7 +251,8 @@ class ThreadedBackend {
   /// Commit protocol, mirroring XctManager::AppendCommitRecord: returns
   /// kInvalidLsn (and commits immediately) for read-only transactions.
   wal::Lsn AppendCommit(txn::Xct* xct);
-  /// WaitCommitDurable mirror: blocks on the flusher for write txns.
+  /// WaitCommitDurable mirror: waits for (or leads) the group-commit
+  /// flush that covers a write txn's commit record.
   Status FinishCommit(txn::Xct* xct, wal::Lsn commit_lsn);
   /// Abort mirror: reverse undo + CLR per entry + abort record.
   void AbortTxn(txn::Xct* xct);

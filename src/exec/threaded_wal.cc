@@ -1,57 +1,62 @@
 #include "exec/threaded_wal.h"
 
 #include <chrono>
+#include <thread>
 
 namespace bionicdb::exec {
 
-ThreadedWal::~ThreadedWal() {
-  if (started_) Stop();
-}
-
-void ThreadedWal::Start() {
-  BIONICDB_CHECK(!started_);
-  started_ = true;
-  flusher_ = std::thread([this] { FlusherLoop(); });
-}
-
-void ThreadedWal::Stop() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  if (flusher_.joinable()) flusher_.join();
-  started_ = false;
-}
-
 wal::Lsn ThreadedWal::Append(const wal::LogRecord& rec) {
-  wal::Lsn lsn;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    lsn = buffer_.size();
-    rec.AppendTo(&buffer_);
-    ++stats_.appends;
-    stats_.bytes_appended += rec.SerializedSize();
-  }
-  work_cv_.notify_one();
+  std::lock_guard<std::mutex> lk(mu_);
+  const wal::Lsn lsn = buffer_.size();
+  rec.AppendTo(&buffer_);
+  ++stats_.appends;
+  stats_.bytes_appended += rec.SerializedSize();
   return lsn;
 }
 
 Status ThreadedWal::WaitDurable(wal::Lsn lsn) {
   std::unique_lock<std::mutex> lk(mu_);
   if (durable_lsn_ < lsn) ++stats_.group_commit_waits;
-  durable_cv_.wait(lk, [&] { return durable_lsn_ >= lsn || crashed_; });
-  if (durable_lsn_ >= lsn) return Status::OK();
-  return Status::IOError("threaded wal: device crashed before flush");
+  // Group commit, leader/follower, as in wal::LogManager::WaitDurable: the
+  // first waiter with undurable data flushes everything appended so far;
+  // others ride along (or re-loop if their records landed after the
+  // leader's snapshot).
+  while (durable_lsn_ < lsn) {
+    if (crashed_) {
+      return Status::IOError("threaded wal: device crashed before flush");
+    }
+    if (flush_in_progress_) {
+      durable_cv_.wait(lk, [&] { return !flush_in_progress_ || crashed_; });
+      continue;
+    }
+    // Appends are whole records under the mutex, so the snapshot is always
+    // a record boundary — a crash never leaves a torn durable prefix here
+    // (torn-tail handling is exercised by the simulator's crash harness).
+    flush_in_progress_ = true;
+    const uint64_t target = buffer_.size();
+    lk.unlock();
+    if (config_.fsync_latency_us > 0) {
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(config_.fsync_latency_us));
+    }
+    lk.lock();
+    flush_in_progress_ = false;
+    if (!crashed_) {
+      durable_lsn_ = target;
+      ++stats_.flushes;
+    }
+    durable_cv_.notify_all();
+  }
+  return Status::OK();
 }
+
+void ThreadedWal::Flush() { (void)WaitDurable(current_lsn()); }
 
 void ThreadedWal::Crash() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     crashed_ = true;
   }
-  work_cv_.notify_all();
   durable_cv_.notify_all();
 }
 
@@ -78,33 +83,6 @@ std::string ThreadedWal::DurablePrefix() const {
 ThreadedWal::Stats ThreadedWal::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   return stats_;
-}
-
-void ThreadedWal::FlusherLoop() {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    work_cv_.wait(lk, [&] {
-      return stop_ || crashed_ || buffer_.size() > durable_lsn_;
-    });
-    if (crashed_) return;
-    if (stop_ && buffer_.size() == durable_lsn_) return;
-    // Group commit: snapshot the tail, "fsync" it outside the lock so
-    // concurrent appends pile onto the next flush, then publish. Appends
-    // are whole records under the mutex, so the snapshot is always a
-    // record boundary — a crash never leaves a torn durable prefix here
-    // (torn-tail handling is exercised by the simulator's crash harness).
-    const uint64_t target = buffer_.size();
-    lk.unlock();
-    if (config_.fsync_latency_us > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(config_.fsync_latency_us));
-    }
-    lk.lock();
-    if (crashed_) return;
-    durable_lsn_ = target;
-    ++stats_.flushes;
-    durable_cv_.notify_all();
-  }
 }
 
 }  // namespace bionicdb::exec

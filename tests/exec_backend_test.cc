@@ -4,9 +4,18 @@
 // same final table contents on both backends, for every engine mode; a
 // concurrent threaded run must match a WAL-replay reconstruction; and the
 // crash harness must never find an acknowledged commit missing from the
-// durable log.
+// durable log. The substrate's own pieces — the leader/follower group
+// commit, the spin-then-park completion and the mailbox wakeup protocol —
+// get targeted cases of their own.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -47,6 +56,47 @@ EngineConfig ConfigFor(EngineMode mode) {
     }
   }
   return EngineConfig::Dora();
+}
+
+/// Aborts the test binary with a message if the scope is still running
+/// after `limit`. A lost wakeup shows up as a hang; this turns it into a
+/// named failure instead of a ctest timeout.
+class Watchdog {
+ public:
+  Watchdog(const char* what, std::chrono::seconds limit)
+      : thread_([this, what, limit] {
+          std::unique_lock<std::mutex> lk(mu_);
+          if (!cv_.wait_for(lk, limit, [&] { return done_; })) {
+            std::fprintf(stderr, "watchdog: %s still running after %llds\n",
+                         what, static_cast<long long>(limit.count()));
+            std::abort();
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      done_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;  // last: starts after the members it uses
+};
+
+uint64_t CountCommitRecords(const std::string& stream) {
+  auto parsed = wal::ParseLogStream(Slice(stream));
+  EXPECT_TRUE(parsed.ok());
+  uint64_t commits = 0;
+  if (!parsed.ok()) return commits;
+  for (const wal::LogRecord& rec : *parsed) {
+    if (rec.type == wal::RecordType::kCommit) ++commits;
+  }
+  return commits;
 }
 
 /// Final state: per-table sorted (key, record) contents.
@@ -256,7 +306,7 @@ INSTANTIATE_TEST_SUITE_P(AllModes, BackendModeTest,
                            return engine::EngineModeName(info.param);
                          });
 
-// Crash-harness smoke on the threaded WAL flusher: after Crash(), every
+// Crash-harness smoke on the threaded group-commit WAL: after Crash(), every
 // already-acknowledged write commit must have its commit record inside the
 // frozen durable prefix, and no later write transaction is acknowledged.
 TEST(ExecBackendCrashTest, AcknowledgedCommitsAreDurable) {
@@ -290,17 +340,131 @@ TEST(ExecBackendCrashTest, AcknowledgedCommitsAreDurable) {
   const uint64_t acknowledged_writes = stats.commits - stats.read_only_commits;
   EXPECT_GT(stats.durability_failures, 0u);
 
-  const std::string durable = backend.wal().DurablePrefix();
-  auto parsed = wal::ParseLogStream(Slice(durable));
-  ASSERT_TRUE(parsed.ok());
-  uint64_t durable_commits = 0;
-  for (const wal::LogRecord& rec : *parsed) {
-    if (rec.type == wal::RecordType::kCommit) ++durable_commits;
-  }
+  const uint64_t durable_commits =
+      CountCommitRecords(backend.wal().DurablePrefix());
   // Every acknowledged write commit is durable (the converse — durable but
   // unacknowledged — is legal: the crash may land between flush and ack).
   EXPECT_LE(acknowledged_writes, durable_commits);
   backend.Shutdown();
+}
+
+// The same invariant with four clients committing concurrently while the
+// crash lands: leaders and followers are mid-flush, and whatever was
+// acknowledged before the durable prefix froze must be inside it.
+TEST(ExecBackendCrashTest, AcknowledgedCommitsAreDurableConcurrent) {
+  Watchdog watchdog("AcknowledgedCommitsAreDurableConcurrent",
+                    std::chrono::seconds(120));
+  Simulator sim;
+  Engine engine(&sim, ConfigFor(EngineMode::kDora));
+  TatpConfig wcfg;
+  wcfg.subscribers = 200;
+  TatpWorkload tatp(&engine, wcfg);
+  ASSERT_TRUE(tatp.Load().ok());
+  ThreadedBackend::Config bcfg;
+  bcfg.wal.fsync_latency_us = 20;
+  ThreadedBackend backend(&engine, bcfg);
+  backend.Start();
+
+  constexpr int kClients = 4;
+  constexpr int kAfterCrash = 20;  // transactions per client after Crash()
+  std::mutex gen_mu;  // workload generators are not thread-safe
+  std::atomic<bool> crashed{false};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      int after_crash = 0;
+      while (after_crash < kAfterCrash) {
+        if (crashed.load(std::memory_order_acquire)) ++after_crash;
+        Engine::TxnSpec spec;
+        {
+          std::lock_guard<std::mutex> lk(gen_mu);
+          spec = tatp.NextTransaction();
+        }
+        uint64_t priority = 0;
+        backend.Execute(std::move(spec), &priority);
+      }
+    });
+  }
+  while (backend.stats().commits < 300) std::this_thread::yield();
+  backend.wal().Crash();
+  crashed.store(true, std::memory_order_release);
+  for (auto& t : clients) t.join();
+
+  const ThreadedStats stats = backend.stats();
+  const uint64_t acknowledged_writes = stats.commits - stats.read_only_commits;
+  EXPECT_GT(acknowledged_writes, 0u);
+  EXPECT_GT(stats.durability_failures, 0u);
+  EXPECT_LE(acknowledged_writes,
+            CountCommitRecords(backend.wal().DurablePrefix()));
+  backend.Shutdown();
+}
+
+// A crash while the leader sleeps in its fsync and followers are queued
+// behind it: nobody is acknowledged, and the durable prefix stays put.
+TEST(ExecBackendCrashTest, CrashDuringLeaderFlushFailsLeaderAndFollowers) {
+  Watchdog watchdog("CrashDuringLeaderFlushFailsLeaderAndFollowers",
+                    std::chrono::seconds(120));
+  ThreadedWal::Config cfg;
+  cfg.fsync_latency_us = 500000;  // a wide window to queue followers in
+  ThreadedWal wal(cfg);
+
+  constexpr int kFollowers = 3;
+  std::vector<Status> results(1 + kFollowers);
+  auto commit = [&](int i) {
+    wal::LogRecord rec;
+    rec.type = wal::RecordType::kCommit;
+    rec.txn_id = static_cast<uint64_t>(i + 1);
+    results[i] = wal.WaitDurable(wal.Append(rec) + 1);
+  };
+  auto wait_for_waiters = [&](uint64_t n) {
+    while (wal.stats().group_commit_waits < n) std::this_thread::yield();
+  };
+  std::vector<std::thread> threads;
+  threads.emplace_back(commit, 0);
+  wait_for_waiters(1);  // the leader is in its fsync sleep
+  for (int i = 1; i <= kFollowers; ++i) threads.emplace_back(commit, i);
+  wait_for_waiters(1 + kFollowers);  // every follower is parked
+  ASSERT_EQ(wal.stats().flushes, 0u) << "leader finished before the crash";
+  wal.Crash();
+  for (auto& t : threads) t.join();
+
+  for (int i = 0; i <= kFollowers; ++i) {
+    EXPECT_TRUE(results[i].IsIOError()) << "committer " << i;
+  }
+  EXPECT_EQ(wal.durable_lsn(), 0u);
+  EXPECT_EQ(wal.stats().flushes, 0u);
+  EXPECT_TRUE(wal.DurablePrefix().empty());
+  EXPECT_TRUE(wal.WaitDurable(wal.current_lsn()).IsIOError());
+}
+
+// With one client nobody can ride another committer's flush, so each write
+// commit leads exactly one flush, and every flush has a waiter. (A flusher
+// that starts on every append spends 1.2-1.9 flushes per write commit
+// here.) The +1 is Shutdown's flush of the tail.
+TEST(ExecBackendCrashTest, OneClientFlushesOncePerWriteCommit) {
+  Simulator sim;
+  Engine engine(&sim, ConfigFor(EngineMode::kDora));
+  TatpConfig wcfg;
+  wcfg.subscribers = 1000;
+  TatpWorkload tatp(&engine, wcfg);
+  ASSERT_TRUE(tatp.Load().ok());
+  ThreadedBackend::Config bcfg;
+  bcfg.wal.fsync_latency_us = 20;
+  ThreadedBackend backend(&engine, bcfg);
+  backend.Start();
+  ThreadedBackend::RunOptions options;
+  options.clients = 1;
+  options.warmup_txns = 0;
+  options.measured_txns = 2000;
+  backend.RunClosedLoop([&] { return tatp.NextTransaction(); }, options);
+  backend.Shutdown();
+
+  const ThreadedStats stats = backend.stats();
+  const ThreadedWal::Stats wal = backend.wal().stats();
+  const uint64_t write_commits = stats.commits - stats.read_only_commits;
+  ASSERT_GT(write_commits, 0u);
+  EXPECT_LE(wal.flushes, wal.group_commit_waits);
+  EXPECT_LE(wal.flushes, write_commits + 1);
 }
 
 // Group commit is real: concurrent committers share flushes, so flush
@@ -325,6 +489,78 @@ TEST(ExecBackendCrashTest, GroupCommitBatchesFlushes) {
   backend.Shutdown();
   ASSERT_GT(wal.appends, 0u);
   EXPECT_LT(wal.flushes, wal.appends);
+}
+
+// Mailbox lost-wakeup regression. Push publishes through the ring's
+// release store and then reads `sleepers_`; without a fence between the
+// two (and after Pop's registration) x86 may reorder them, the agent
+// sleeps with an item in its mailbox and a lone client waits forever.
+// Without the fences this shape hung about half of its runs.
+TEST(ExecBackendMailboxTest, OneClientNeverLosesAWakeup) {
+  Watchdog watchdog("OneClientNeverLosesAWakeup (lost mailbox wakeup?)",
+                    std::chrono::seconds(240));
+  Simulator sim;
+  Engine engine(&sim, EngineConfig::Dora());  // 6 partitions
+  TatpConfig wcfg;
+  wcfg.subscribers = 10000;
+  TatpWorkload tatp(&engine, wcfg);
+  ASSERT_TRUE(tatp.Load().ok());
+  ThreadedBackend backend(&engine, ThreadedBackend::Config{});
+  backend.Start();
+  ThreadedBackend::RunOptions options;
+  options.clients = 1;
+  options.warmup_txns = 0;
+  options.measured_txns = 36000;
+  ThreadedBackend::RunReport report =
+      backend.RunClosedLoop([&] { return tatp.NextTransaction(); }, options);
+  backend.Shutdown();
+  EXPECT_EQ(backend.stats().started, options.measured_txns);
+  EXPECT_GT(report.committed, 0u);
+}
+
+// The client may destroy its stack completion the moment Wait() returns,
+// while agents are still returning from Arrive(). Each round puts a fresh
+// completion in the same stack slot, so an arriver that touched the old one
+// late would race the next constructor (TSan) or corrupt its count (hang,
+// caught by the watchdog). Rounds alternate between prompt arrivals (Wait
+// returns from its spin) and slow ones (Wait parks), with one agent
+// reporting a failure on some rounds.
+TEST(ThreadedRvpTest, DestroyedAsSoonAsWaitReturns) {
+  Watchdog watchdog("DestroyedAsSoonAsWaitReturns", std::chrono::seconds(120));
+  constexpr int kAgents = 4;
+  constexpr int kRounds = 3000;
+  struct Job {
+    ThreadedRvp* rvp = nullptr;
+    int round = 0;
+  };
+  std::vector<std::unique_ptr<MpscBlockingQueue<Job>>> mailboxes;
+  std::vector<std::thread> agents;
+  for (int a = 0; a < kAgents; ++a) {
+    mailboxes.push_back(std::make_unique<MpscBlockingQueue<Job>>(4));
+  }
+  for (int a = 0; a < kAgents; ++a) {
+    agents.emplace_back([&, a] {
+      for (;;) {
+        const Job job = mailboxes[a]->Pop();
+        if (job.rvp == nullptr) return;
+        if (job.round % 8 == 7) {
+          std::this_thread::sleep_for(std::chrono::microseconds(300));
+        } else if (job.round % 2 == 1) {
+          for (int i = 0; i < a * 16; ++i) std::this_thread::yield();
+        }
+        job.rvp->Arrive(job.round % 5 == 0 && a == job.round % kAgents
+                            ? Status::Aborted("round failure")
+                            : Status::OK());
+      }
+    });
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    ThreadedRvp rvp(kAgents);
+    for (int a = 0; a < kAgents; ++a) mailboxes[a]->Push(Job{&rvp, round});
+    EXPECT_EQ(rvp.Wait().IsAborted(), round % 5 == 0) << "round " << round;
+  }
+  for (auto& m : mailboxes) m->Push(Job{});
+  for (auto& t : agents) t.join();
 }
 
 // Wall-clock open loop: a real arrival thread offers load through the
