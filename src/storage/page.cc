@@ -37,12 +37,16 @@ Result<uint16_t> Page::Insert(Slice record) {
     return Status::InvalidArgument("record larger than page");
   }
   Header& h = header();
-  // Reuse a tombstoned slot if possible (keeps the directory compact).
+  // Reuse the lowest tombstoned slot if there is one (keeps the directory
+  // compact). Every non-live slot is a tombstone, so a page without them
+  // (any page during a bulk load) appends without scanning.
   uint16_t slot = h.nslots;
-  for (uint16_t i = 0; i < h.nslots; ++i) {
-    if (slots()[i].offset == 0) {
-      slot = i;
-      break;
+  if (h.nlive < h.nslots) {
+    for (uint16_t i = 0; i < h.nslots; ++i) {
+      if (slots()[i].offset == 0) {
+        slot = i;
+        break;
+      }
     }
   }
   const uint32_t dir_growth = (slot == h.nslots) ? sizeof(SlotEntry) : 0;

@@ -1,5 +1,7 @@
 #include "workload/sharded_tatp.h"
 
+#include "common/parallel_for.h"
+
 namespace bionicdb::workload {
 
 ShardedTatp::ShardedTatp(shard::Cluster* cluster,
@@ -32,7 +34,16 @@ ShardedTatp::ShardedTatp(shard::Cluster* cluster,
 }
 
 Status ShardedTatp::Load() {
-  for (auto& w : tatp_) BIONICDB_RETURN_NOT_OK(w->Load());
+  // Shards load concurrently: a loader touches only its own engine's
+  // tables, pages and SimDisk. The exception is the overlay, whose
+  // per-row residency draws come from the simulator's shared RNG, so
+  // overlay clusters load one shard at a time, in shard order.
+  const size_t jobs =
+      cluster_->shard(0)->UseOverlay() ? 1 : common::DefaultJobs();
+  std::vector<Status> status(tatp_.size());
+  common::ParallelFor(tatp_.size(), jobs,
+                      [&](size_t i) { status[i] = tatp_[i]->Load(); });
+  for (const Status& st : status) BIONICDB_RETURN_NOT_OK(st);
   return Status::OK();
 }
 

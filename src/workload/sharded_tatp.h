@@ -47,7 +47,11 @@ class ShardedTatp {
  public:
   ShardedTatp(shard::Cluster* cluster, const ShardedTatpConfig& config);
 
-  /// Loads every shard's partition (untimed).
+  /// Loads every shard's partition (untimed), shards concurrently on up to
+  /// common::DefaultJobs() host threads (overlay clusters in shard order;
+  /// docs/SHARDING.md "Bulk load").
+  /// The result is bit-identical to loading the shards one after another;
+  /// on failure, returns the status of the lowest-numbered failing shard.
   Status Load();
 
   /// Draws the next (possibly distributed) transaction.

@@ -131,6 +131,66 @@ TEST(PageTest, UpdateTooBigFailsCleanly) {
   EXPECT_EQ((*p.Get(*s)).ToString(), "small");
 }
 
+/// Non-live slot directory entries, counted one by one.
+int Tombstones(const Page& p) {
+  int n = 0;
+  for (uint16_t s = 0; s < p.slot_count(); ++s) n += p.IsLive(s) ? 0 : 1;
+  return n;
+}
+
+/// The slot rule Insert's no-scan append relies on: every non-live slot is
+/// a tombstone, so slot_count() - live_records() counts them after every
+/// operation; Insert fills the lowest one, else appends at slot_count().
+TEST(PageTest, InsertSlotRuleAndTombstoneCount) {
+  Page p;
+  p.Init(1);
+  auto insert = [&](Slice rec) {
+    auto s = p.Insert(rec);
+    EXPECT_TRUE(s.ok());
+    return s.ok() ? static_cast<int>(*s) : -1;
+  };
+  auto counted = [&](const char* after) {
+    EXPECT_EQ(p.slot_count() - p.live_records(), Tombstones(p)) << after;
+    return Tombstones(p);
+  };
+
+  // No tombstones: every insert appends at slot_count().
+  const std::string rec(100, 'r');
+  while (p.ContiguousFreeSpace() >= rec.size() + 4) {
+    const int at = p.slot_count();
+    EXPECT_EQ(insert(rec), at);
+  }
+  EXPECT_EQ(counted("fill"), 0);
+
+  // Several tombstones: inserts take the lowest-numbered one first.
+  for (uint16_t s : {9, 2, 5, 7}) ASSERT_TRUE(p.Delete(s).ok());
+  EXPECT_EQ(counted("delete"), 4);
+  EXPECT_EQ(insert("a"), 2);
+  EXPECT_EQ(insert("b"), 5);
+  EXPECT_EQ(counted("reuse"), 2);
+
+  // A growing update frees its old cell without leaving a tombstone,
+  // whether it fits contiguously, fits only after compaction, or does not
+  // fit and rolls back.
+  ASSERT_TRUE(p.Update(2, std::string(10, 'g')).ok());
+  EXPECT_EQ(counted("grow in place"), 2);
+  ASSERT_LT(p.ContiguousFreeSpace(), 250u);
+  ASSERT_TRUE(p.Update(0, std::string(250, 'g')).ok());
+  EXPECT_EQ(counted("grow after compaction"), 2);
+  EXPECT_TRUE(p.Update(1, std::string(kPageSize, 'x')).IsResourceExhausted());
+  EXPECT_EQ(counted("grow rolled back"), 2);
+  EXPECT_EQ((*p.Get(1)).ToString(), rec);
+
+  // Compaction moves cells, never slots.
+  p.Compact();
+  EXPECT_EQ(counted("compact"), 2);
+  EXPECT_EQ(insert("c"), 7);
+  EXPECT_EQ(insert("d"), 9);
+  EXPECT_EQ(counted("refill"), 0);
+  const int end = p.slot_count();
+  EXPECT_EQ(insert("e"), end);
+}
+
 TEST(PageTest, RandomizedChurnAgainstModel) {
   Page p;
   p.Init(1);
