@@ -65,8 +65,9 @@ struct EngineConfig {
   /// in slabbed heaps behind front-coded packed key indexes instead of
   /// slotted pages + primary B+Tree. Bulk-load then Engine::FinalizeLoad()
   /// before serving. Probe costs are charged identically (synthetic
-  /// fanout-64 height); buffer-pool charges disappear with the pool. Not
-  /// supported with the bionic overlay or the real-thread backend.
+  /// fanout-64 height); buffer-pool charges disappear with the pool. Runs
+  /// on the simulator and the real-thread backend alike; not supported
+  /// with the bionic overlay (the Engine constructor CHECKs it).
   bool compact_storage = false;
 
   /// Deterministic fault schedule for the simulated I/O stack. Empty (the

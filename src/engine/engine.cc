@@ -1,7 +1,11 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
+
+#include "exec/threaded.h"
+#include "exec/threaded_wal.h"
 
 namespace bionicdb::engine {
 
@@ -419,7 +423,7 @@ void Engine::FinishRun() {
 
 sim::Task<void> Engine::CpuWork(ExecContext& ctx, double ns, Component c) {
   const SimTime t = static_cast<SimTime>(ns);
-  if (t <= 0) co_return;
+  if (threaded_ || t <= 0) co_return;
   sim::CorePool& cores = platform_->cpu(ctx.socket);
   if (ctx.core_held) {
     co_await cores.Work(t);
@@ -434,7 +438,7 @@ sim::Task<void> Engine::CpuWork(ExecContext& ctx, double ns, Component c) {
 
 sim::Task<void> Engine::CpuWorkNoCore(double ns, Component c) {
   const SimTime t = static_cast<SimTime>(ns);
-  if (t <= 0) co_return;
+  if (threaded_ || t <= 0) co_return;
   co_await sim::Delay{sim_, t};
   platform_->meter().ChargeBusy(platform_->cpu_component(), t, 0);
   breakdown_.Charge(c, t);
@@ -442,6 +446,7 @@ sim::Task<void> Engine::CpuWorkNoCore(double ns, Component c) {
 
 sim::Task<void> Engine::ProbeCost(ExecContext& ctx, int levels,
                                   uint32_t key_bytes) {
+  if (threaded_) co_return;
   bool software = !UseHwProbe();
   if (!software) {
     // Post the probe descriptor (tiny CPU cost), then the asynchronous
@@ -483,6 +488,38 @@ sim::Task<Status> Engine::LogWriteTimed(ExecContext& ctx,
   std::string key_s = key.ToString();
   std::string redo_s = redo.ToString();
   std::string undo_s = undo.ToString();
+  if (threaded_) {
+    // Threads append to the backend's WAL. The transaction's actions run
+    // concurrently and share its begin record, LSN chain and undo chain.
+    exec::ThreadedWal& wal = threaded_->wal();
+    txn::Xct* xct = ctx.xct;
+    std::lock_guard<std::mutex> lk(xct->mu);
+    BIONICDB_CHECK(xct->state == txn::XctState::kActive);
+    if (!xct->begin_logged) {
+      xct->begin_logged = true;
+      wal::LogRecord begin;
+      begin.type = wal::RecordType::kBegin;
+      begin.txn_id = xct->id;
+      begin.prev_lsn = wal::kInvalidLsn;
+      xct->last_lsn = wal.Append(begin);
+    }
+    wal::LogRecord rec;
+    rec.type = type;
+    rec.txn_id = xct->id;
+    rec.table_id = table->id();
+    rec.prev_lsn = xct->last_lsn;
+    rec.key = key_s;
+    rec.redo = std::move(redo_s);
+    rec.undo = undo_s;
+    xct->last_lsn = wal.Append(rec);
+    txn::UndoEntry entry;
+    entry.type = type;
+    entry.table_id = table->id();
+    entry.key = std::move(key_s);
+    entry.before = std::move(undo_s);
+    xct->undo_chain.push_back(std::move(entry));
+    co_return Status::OK();
+  }
   obs::TxnTimeline* tl = ctx.xct != nullptr ? ctx.xct->timeline : nullptr;
   const SimTime w0 = tl != nullptr ? sim_->Now() : 0;
   const bool hw_log =
@@ -512,11 +549,72 @@ sim::Task<Status> Engine::LogWriteTimed(ExecContext& ctx,
   co_return st;
 }
 
+// ------------------------------------------- threaded backend: latches --
+
+void Engine::AttachThreadedBackend(exec::ThreadedBackend* backend) {
+  threaded_ = backend;
+  if (backend == nullptr) return;
+  table_mu_.clear();
+  for (size_t i = 0; i < db_->num_tables(); ++i) {
+    table_mu_.push_back(std::make_unique<std::shared_mutex>());
+  }
+}
+
+Engine::ReadLock Engine::ReadLatch(const Table* table) {
+  if (!threaded_) return {};
+  BIONICDB_CHECK(table->id() < table_mu_.size());
+  return ReadLock(*table_mu_[table->id()]);
+}
+
+Engine::WriteLock Engine::WriteLatch(const Table* table) {
+  if (!threaded_) return {};
+  BIONICDB_CHECK(table->id() < table_mu_.size());
+  return WriteLock(*table_mu_[table->id()]);
+}
+
+Engine::ReadLock Engine::DiskReadLatch() {
+  return threaded_ ? ReadLock(disk_mu_) : ReadLock();
+}
+
+Engine::WriteLock Engine::DiskWriteLatch() {
+  return threaded_ ? WriteLock(disk_mu_) : WriteLock();
+}
+
+std::unique_lock<std::mutex> Engine::XctLatch(txn::Xct* xct) {
+  return threaded_ ? std::unique_lock<std::mutex>(xct->mu)
+                   : std::unique_lock<std::mutex>();
+}
+
+/// On threads a view may alias memory that other threads move (B+Tree
+/// splits, overlay arena growth on *other* keys), so the bytes are copied
+/// into a per-thread rotating ring while the latch is held. A slot lives
+/// until the same thread's 8th next copy — far beyond the "decode before
+/// the next engine call" contract views carry anyway.
+Slice Engine::ScratchCopy(Slice v) {
+  if (!threaded_) return v;
+  static thread_local std::array<std::string, 8> scratch;
+  static thread_local size_t next = 0;
+  std::string& slot = scratch[next++ & 7];
+  slot.assign(v.data(), v.size());
+  return Slice(slot);
+}
+
+sim::Task<Result<storage::Page*>> Engine::FetchPage(storage::PageId id) {
+  if (!threaded_) co_return co_await bpool_->Fetch(id);
+  ReadLock dl = DiskReadLatch();
+  storage::Page* page = data_disk_->GetPageForLoad(id);
+  if (page == nullptr) co_return Status::NotFound("page missing");
+  co_return page;
+}
+
+void Engine::UnpinPage(storage::PageId id, bool dirty) {
+  if (!threaded_) bpool_->Unpin(id, dirty);
+}
+
 // ----------------------------------------------------------- row access --
 
 sim::Task<Result<std::string>> Engine::Read(ExecContext& ctx, Table* table,
                                             Slice key) {
-  if (threaded_) co_return TRead(ctx, table, key);
   // (No `cond ? co_await a : co_await b` — GCC 12 miscompiles it.)
   if (UseOverlay()) {
     auto r = co_await ReadOverlayView(ctx, table, key);
@@ -530,13 +628,13 @@ sim::Task<Result<std::string>> Engine::Read(ExecContext& ctx, Table* table,
 
 sim::Task<Result<Slice>> Engine::ReadView(ExecContext& ctx, Table* table,
                                           Slice key) {
-  if (threaded_) co_return TReadView(ctx, table, key);
   if (UseOverlay()) co_return co_await ReadOverlayView(ctx, table, key);
   co_return co_await ReadPagedView(ctx, table, key);
 }
 
 sim::Task<Result<Slice>> Engine::ReadPagedView(ExecContext& ctx,
                                                Table* table, Slice key) {
+  ReadLock rl = ReadLatch(table);
   if (table->compact()) {
     // Packed-index probe + slab read: no buffer pool in compact mode. The
     // view is taken after the last suspension (concurrent writes may
@@ -549,7 +647,7 @@ sim::Task<Result<Slice>> Engine::ReadPagedView(ExecContext& ctx,
     co_await CpuWork(ctx, platform_->cost().TupleReadNs(), Component::kOther);
     auto rec = table->compact_store()->Get(key, nullptr);
     if (!rec.ok()) co_return rec.status();
-    co_return *rec;
+    co_return ScratchCopy(*rec);
   }
   int visits = 0;
   auto rid_view = table->primary().GetTracedView(key, &visits);
@@ -560,22 +658,23 @@ sim::Task<Result<Slice>> Engine::ReadPagedView(ExecContext& ctx,
   if (!rid_view.ok()) co_return rid_view.status();
 
   co_await CpuWork(ctx, platform_->cost().BpoolLookupNs(), Component::kBpool);
-  auto frame = co_await bpool_->Fetch(rid.page_id);
+  auto frame = co_await FetchPage(rid.page_id);
   if (!frame.ok()) co_return frame.status();
   // Keep the frame pinned across the tuple-read charge so the record view
   // is taken after the last suspension; the bytes then stay put until the
   // caller writes or suspends (frames alias the device's stable pages).
   co_await CpuWork(ctx, platform_->cost().TupleReadNs(), Component::kOther);
   auto rec = (*frame)->Get(rid.slot);
-  bpool_->Unpin(rid.page_id, false);
+  UnpinPage(rid.page_id, false);
   if (!rec.ok()) co_return rec.status();
-  co_return *rec;
+  co_return ScratchCopy(*rec);
 }
 
 sim::Task<Result<Slice>> Engine::ReadOverlayView(ExecContext& ctx,
                                                  Table* table, Slice key) {
   Overlay* ov = table->overlay();
   BIONICDB_CHECK(ov != nullptr);
+  ReadLock rl = ReadLatch(table);
   int visits = 0;
   Status probe = ov->GetTracedView(key, &visits).status();
   co_await ProbeCost(ctx, visits, static_cast<uint32_t>(key.size()));
@@ -585,12 +684,13 @@ sim::Task<Result<Slice>> Engine::ReadOverlayView(ExecContext& ctx,
     // Re-probe (untimed) after the last suspension: concurrent overlay
     // writes during the waits above may have moved the leaf arena.
     auto view = ov->GetView(key);
-    if (view.ok()) co_return *view;
+    if (view.ok()) co_return ScratchCopy(*view);
     // Evicted while waiting (tiny overlays): fall through to the fetch.
     probe = view.status();
   }
   if (probe.IsNotFound()) co_return probe;  // tombstone
   BIONICDB_CHECK(probe.IsOutOfMemory());
+  rl = ReadLock();  // released: the miss leg latches exclusively
 
   for (;;) {
     // §5.6: "If disk access is needed, the hardware operation aborts so
@@ -598,11 +698,27 @@ sim::Task<Result<Slice>> Engine::ReadOverlayView(ExecContext& ctx,
     // fetch:
     co_await CpuWork(ctx, platform_->cost().BpoolLookupNs(),
                      Component::kBpool);
+    // The install mutates the overlay, so this leg latches exclusively.
+    // Threads re-probe under it first: another reader of the key may have
+    // installed it since the shared probe above.
+    WriteLock wl = WriteLatch(table);
+    if (threaded_) {
+      auto view = ov->GetView(key);
+      if (view.ok()) co_return ScratchCopy(*view);
+      if (view.status().IsNotFound()) co_return view.status();
+    }
     auto rid = table->LookupRid(key);
     if (!rid.ok()) co_return rid.status();  // genuinely absent
     storage::Page page;
-    Status io = co_await data_disk_->ReadPage(rid->page_id, &page);
-    if (!io.ok()) co_return io;
+    if (threaded_) {
+      // No timed device read: copy the page the read would return.
+      auto base = co_await FetchPage(rid->page_id);
+      if (!base.ok()) co_return base.status();
+      page = **base;
+    } else {
+      Status io = co_await data_disk_->ReadPage(rid->page_id, &page);
+      if (!io.ok()) co_return io;
+    }
     auto rec = page.Get(rid->slot);
     if (!rec.ok()) co_return rec.status();
     ov->InstallClean(key, *rec);
@@ -611,7 +727,7 @@ sim::Task<Result<Slice>> Engine::ReadOverlayView(ExecContext& ctx,
     BIONICDB_CHECK(ov->GetTracedView(key, &retry_visits).ok());
     co_await ProbeCost(ctx, retry_visits);
     auto view = ov->GetView(key);
-    if (view.ok()) co_return *view;
+    if (view.ok()) co_return ScratchCopy(*view);
     // Evicted again while the probe cost elapsed: fetch once more.
   }
 }
@@ -626,10 +742,10 @@ sim::Task<void> Engine::MultiReadOne(ExecContext ctx, Table* table,
 
 sim::Task<std::vector<Result<std::string>>> Engine::MultiRead(
     ExecContext& ctx, Table* table, const std::vector<std::string>& keys) {
-  if (threaded_) co_return TMultiRead(ctx, table, keys);
   std::vector<Result<std::string>> out(keys.size(),
                                        Result<std::string>(Status::Busy()));
-  if (!UseHwProbe() || keys.size() <= 1) {
+  // Threads read back-to-back: the overlap is a timing effect.
+  if (threaded_ || !UseHwProbe() || keys.size() <= 1) {
     for (size_t i = 0; i < keys.size(); ++i) {
       out[i] = co_await Read(ctx, table, keys[i]);
     }
@@ -651,7 +767,6 @@ sim::Task<std::vector<Result<std::string>>> Engine::MultiRead(
 
 sim::Task<Status> Engine::Update(ExecContext& ctx, Table* table, Slice key,
                                  Slice record, const Slice* known_old) {
-  if (threaded_) co_return TUpdate(ctx, table, key, record, known_old);
   // The before-image (a view either way) is consumed by LogWriteTimed
   // before its first suspension, so no owning copy is made here.
   if (known_old != nullptr) {
@@ -664,6 +779,7 @@ sim::Task<Status> Engine::Update(ExecContext& ctx, Table* table, Slice key,
         ctx, wal::RecordType::kUpdate, table, key, record, *old));
   }
 
+  WriteLock wl = WriteLatch(table);
   if (UseOverlay()) {
     table->overlay()->Put(key, record);
   } else if (table->compact()) {
@@ -677,12 +793,14 @@ sim::Task<Status> Engine::Update(ExecContext& ctx, Table* table, Slice key,
     BIONICDB_CHECK(rid.ok());
     co_await CpuWork(ctx, platform_->cost().BpoolLookupNs(),
                      Component::kBpool);
-    auto frame = co_await bpool_->Fetch(rid->page_id);
+    auto frame = co_await FetchPage(rid->page_id);
     if (!frame.ok()) co_return frame.status();
     Status st = (*frame)->Update(rid->slot, record);
-    bpool_->Unpin(rid->page_id, true);
+    UnpinPage(rid->page_id, true);
     if (st.IsResourceExhausted()) {
-      // Record grew past its page: functional relocation.
+      // Record grew past its page: functional relocation (which may
+      // allocate a page).
+      WriteLock dl = DiskWriteLatch();
       st = table->BasePut(key, record);
     }
     if (!st.ok()) co_return st;
@@ -693,9 +811,9 @@ sim::Task<Status> Engine::Update(ExecContext& ctx, Table* table, Slice key,
 
 sim::Task<Status> Engine::Insert(ExecContext& ctx, Table* table, Slice key,
                                  Slice record) {
-  if (threaded_) co_return TInsert(ctx, table, key, record);
   // Uniqueness check through the regular probe path (view probes: only the
   // outcome is needed, never the bytes).
+  ReadLock rl = ReadLatch(table);
   if (UseOverlay()) {
     int visits = 0;
     Status existing = table->overlay()->GetTracedView(key, &visits).status();
@@ -715,10 +833,12 @@ sim::Task<Status> Engine::Insert(ExecContext& ctx, Table* table, Slice key,
     co_await ProbeCost(ctx, visits);
     if (exists) co_return Status::AlreadyExists("key exists");
   }
+  rl = ReadLock();  // no latch across the WAL append
 
   BIONICDB_CO_RETURN_NOT_OK(co_await LogWriteTimed(
       ctx, wal::RecordType::kInsert, table, key, record, Slice()));
 
+  WriteLock wl = WriteLatch(table);
   if (UseOverlay()) {
     table->overlay()->Put(key, record);
     // Leaf insert + possible split work.
@@ -730,12 +850,15 @@ sim::Task<Status> Engine::Insert(ExecContext& ctx, Table* table, Slice key,
     // a fresh page into.
     co_await CpuWork(ctx, platform_->cost().InstrNs(60), Component::kBtree);
   } else {
+    WriteLock dl = DiskWriteLatch();  // BasePut may allocate a page
     Status st = table->BasePut(key, record);
     if (!st.ok()) co_return st;
     // A fresh fill page is materialized in the pool directly (like
     // NewPage): inserts never cause a device read.
-    auto rid = table->LookupRid(key);
-    if (rid.ok()) (void)co_await bpool_->InstallLoaded(rid->page_id);
+    if (!threaded_) {
+      auto rid = table->LookupRid(key);
+      if (rid.ok()) (void)co_await bpool_->InstallLoaded(rid->page_id);
+    }
     co_await CpuWork(ctx,
                      platform_->cost().BtreeNodeVisitNs(
                          config_.index_config.leaf_capacity, true),
@@ -748,7 +871,6 @@ sim::Task<Status> Engine::Insert(ExecContext& ctx, Table* table, Slice key,
 }
 
 sim::Task<Status> Engine::Delete(ExecContext& ctx, Table* table, Slice key) {
-  if (threaded_) co_return TDelete(ctx, table, key);
   auto old = co_await ReadView(ctx, table, key);
   if (!old.ok()) co_return old.status();
 
@@ -756,9 +878,12 @@ sim::Task<Status> Engine::Delete(ExecContext& ctx, Table* table, Slice key) {
   BIONICDB_CO_RETURN_NOT_OK(co_await LogWriteTimed(
       ctx, wal::RecordType::kDelete, table, key, Slice(), *old));
 
+  WriteLock wl = WriteLatch(table);
   if (UseOverlay()) {
     table->overlay()->Delete(key);
   } else {
+    // Delete only looks its page up (no allocation): shared disk latch.
+    ReadLock dl = DiskReadLatch();
     Status st = table->BaseDelete(key);
     if (!st.ok()) co_return st;
     if (!table->compact()) {
@@ -773,7 +898,7 @@ sim::Task<Status> Engine::Delete(ExecContext& ctx, Table* table, Slice key) {
 sim::Task<Result<std::string>> Engine::ProbeSecondary(
     ExecContext& ctx, Table* table, const std::string& index_name,
     Slice skey) {
-  if (threaded_) co_return TProbeSecondary(ctx, table, index_name, skey);
+  ReadLock rl = ReadLatch(table);
   index::BTree* idx = table->secondary(index_name);
   if (idx == nullptr) co_return Status::NotFound("no index " + index_name);
   int visits = 0;
@@ -786,7 +911,7 @@ sim::Task<Result<std::string>> Engine::ProbeSecondary(
 sim::Task<Status> Engine::InsertSecondary(ExecContext& ctx, Table* table,
                                           const std::string& index_name,
                                           Slice skey, Slice pkey) {
-  if (threaded_) co_return TInsertSecondary(ctx, table, index_name, skey, pkey);
+  WriteLock wl = WriteLatch(table);
   index::BTree* idx = table->secondary(index_name);
   if (idx == nullptr) co_return Status::NotFound("no index " + index_name);
   int visits = 0;
@@ -801,6 +926,7 @@ sim::Task<Status> Engine::InsertSecondary(ExecContext& ctx, Table* table,
     undo.table_id = table->id();
     undo.key = skey.ToString();
     undo.index_name = index_name;
+    std::unique_lock<std::mutex> xl = XctLatch(ctx.xct);
     ctx.xct->undo_chain.push_back(std::move(undo));
   }
   co_await CpuWork(ctx, platform_->cost().InstrNs(40), Component::kBtree);
@@ -810,7 +936,8 @@ sim::Task<Status> Engine::InsertSecondary(ExecContext& ctx, Table* table,
 sim::Task<Result<std::vector<std::pair<std::string, std::string>>>>
 Engine::RangeRead(ExecContext& ctx, Table* table, Slice lo, Slice hi,
                   size_t limit) {
-  if (threaded_) co_return TRangeRead(ctx, table, lo, hi, limit);
+  ReadLock rl = ReadLatch(table);
+  ReadLock dl = DiskReadLatch();
   // Functional result: base rows in [lo, hi) patched by the overlay.
   std::map<std::string, std::string> merged;
   if (table->compact()) {
@@ -825,11 +952,9 @@ Engine::RangeRead(ExecContext& ctx, Table* table, Slice lo, Slice hi,
       if (rec.ok()) merged[it.key().ToString()] = std::move(*rec);
     }
   }
-  size_t overlay_rows = 0;
   if (table->overlay() != nullptr) {
     const index::BTree& ov = table->overlay()->index();
     for (auto it = ov.SeekRange(lo, hi); it.Valid(); it.Next()) {
-      ++overlay_rows;
       Slice tagged = it.value();
       if (tagged[0] == 'D') {
         merged.erase(it.key().ToString());
@@ -844,6 +969,7 @@ Engine::RangeRead(ExecContext& ctx, Table* table, Slice lo, Slice hi,
     if (limit != 0 && rows.size() >= limit) break;
     rows.push_back(kv);
   }
+  if (threaded_) co_return rows;
 
   // Timing: one probe to locate the start leaf, then per-row costs.
   int visits = table->probe_height();
@@ -892,8 +1018,7 @@ sim::Task<Result<std::vector<std::pair<std::string, std::string>>>>
 Engine::RangeReadIndex(ExecContext& ctx, Table* table,
                        const std::string& index_name, Slice lo, Slice hi,
                        size_t limit) {
-  if (threaded_) co_return TRangeReadIndex(ctx, table, index_name, lo, hi,
-                                           limit);
+  ReadLock rl = ReadLatch(table);
   index::BTree* idx = table->secondary(index_name);
   if (idx == nullptr) co_return Status::NotFound("no index " + index_name);
   std::vector<std::pair<std::string, std::string>> rows;
@@ -901,6 +1026,7 @@ Engine::RangeReadIndex(ExecContext& ctx, Table* table,
     if (limit != 0 && rows.size() >= limit) break;
     rows.emplace_back(it.key().ToString(), it.value().ToString());
   }
+  if (threaded_) co_return rows;
   // One probe to the start leaf, then an entry walk.
   co_await ProbeCost(ctx, idx->height());
   if (UseHwProbe()) {
@@ -926,7 +1052,8 @@ Engine::RangeReadIndex(ExecContext& ctx, Table* table,
 
 sim::Task<Result<uint64_t>> Engine::ScanCount(
     ExecContext& ctx, Table* table, const std::function<bool(Slice)>& pred) {
-  if (threaded_) co_return TScanCount(ctx, table, pred);
+  ReadLock rl = ReadLatch(table);
+  ReadLock dl = DiskReadLatch();
   // Functional answer over the live logical table.
   auto rows = table->ScanAll();
   uint64_t matches = 0;
@@ -935,6 +1062,7 @@ sim::Task<Result<uint64_t>> Engine::ScanCount(
     bytes += rec.size();
     if (pred(Slice(rec))) ++matches;
   }
+  if (threaded_) co_return matches;
   const double selectivity =
       rows.empty() ? 0.0
                    : static_cast<double>(matches) /
@@ -982,7 +1110,7 @@ sim::Task<Result<uint64_t>> Engine::ScanCount(
 sim::Task<Result<Engine::ProjectionAggregate>> Engine::ScanProjection(
     ExecContext& ctx, Table* table, const std::string& projection_name,
     const std::function<bool(int64_t)>& pred) {
-  if (threaded_) co_return TScanProjection(ctx, table, projection_name, pred);
+  ReadLock rl = ReadLatch(table);
   const Table::Projection* proj = table->projection(projection_name);
   if (proj == nullptr) {
     co_return Status::NotFound("no projection " + projection_name);
@@ -1018,6 +1146,7 @@ sim::Task<Result<Engine::ProjectionAggregate>> Engine::ScanProjection(
       agg.sum += v;
     }
   }
+  if (threaded_) co_return agg;
 
   // Timing: the column (8 bytes/row) streams through the scanner or the
   // host; aggregation ships only the result. Patching costs CPU per
@@ -1058,9 +1187,10 @@ sim::Task<Result<Engine::ProjectionAggregate>> Engine::ScanProjection(
 // ------------------------------------------------------------ maintenance --
 
 sim::Task<Status> Engine::BulkMerge(ExecContext& ctx, Table* table) {
-  if (threaded_) co_return TBulkMerge(ctx, table);
   Overlay* ov = table->overlay();
   if (ov == nullptr) co_return Status::NotSupported("table has no overlay");
+  WriteLock wl = WriteLatch(table);
+  WriteLock dl = DiskWriteLatch();
   auto delta = ov->TakeDirty();
   uint64_t bytes = 0;
   for (auto& [key, rec] : delta) {
@@ -1075,7 +1205,7 @@ sim::Task<Status> Engine::BulkMerge(ExecContext& ctx, Table* table) {
                            Component::kBpool);
   }
   // Sorted bulk write back to the data disk.
-  if (bytes > 0) {
+  if (bytes > 0 && !threaded_) {
     Status st = co_await data_disk_->AppendRaw(bytes);
     if (!st.ok()) co_return st;
   }
@@ -1085,7 +1215,6 @@ sim::Task<Status> Engine::BulkMerge(ExecContext& ctx, Table* table) {
 }
 
 sim::Task<Status> Engine::Checkpoint(ExecContext& ctx) {
-  if (threaded_) co_return TCheckpoint(ctx);
   // 1. Make base data reflect everything logged so far.
   for (uint32_t i = 0; i < db_->num_tables(); ++i) {
     Table* table = db_->GetTable(i);
@@ -1093,19 +1222,24 @@ sim::Task<Status> Engine::Checkpoint(ExecContext& ctx) {
       BIONICDB_CO_RETURN_NOT_OK(co_await BulkMerge(ctx, table));
     }
   }
-  if (!UseOverlay()) {
+  if (!UseOverlay() && !threaded_) {
     BIONICDB_CO_RETURN_NOT_OK(co_await bpool_->FlushAll());
   }
   // 2. Mark the log: replay after a crash starts here.
   wal::LogRecord rec;
   rec.type = wal::RecordType::kCheckpoint;
+  if (threaded_) {
+    exec::ThreadedWal& wal = threaded_->wal();
+    rec.prev_lsn = wal.current_lsn();
+    co_return wal.WaitDurable(wal.Append(rec) + 1);
+  }
   rec.prev_lsn = log_->current_lsn();
   const wal::Lsn lsn = co_await log_->Append(std::move(rec), ctx.socket);
   co_return co_await log_->WaitDurable(lsn + 1);
 }
 
 sim::Task<Status> Engine::ReorganizeIndex(ExecContext& ctx, Table* table) {
-  if (threaded_) co_return TReorganizeIndex(ctx, table);
+  WriteLock wl = WriteLatch(table);
   if (table->compact()) {
     // The compact analogue: fold the delta back into the packed run.
     const size_t centries = table->compact_store()->Compact();
@@ -1138,6 +1272,9 @@ std::string Engine::QualifiedKey(const Table* table, Slice key) {
 void Engine::ApplyUndo(const txn::UndoEntry& entry) {
   Table* table = db_->GetTable(entry.table_id);
   BIONICDB_CHECK(table != nullptr);
+  // Undo can BasePut base data, which may allocate a page.
+  WriteLock wl = WriteLatch(table);
+  WriteLock dl = DiskWriteLatch();
   if (!entry.index_name.empty()) {
     // Secondary-index maintenance: remove the derived entry.
     index::BTree* idx = table->secondary(entry.index_name);

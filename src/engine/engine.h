@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -335,11 +336,12 @@ class Engine {
 
   // ------------------------------------------------- threaded backend ----
   /// Attaches (or detaches, with nullptr) the real-thread execution
-  /// backend. While attached, every row/scan operation takes its threaded
-  /// path: pure functional work guarded by per-table reader/writer locks,
-  /// no virtual-time cost charges, logging through the backend's
-  /// ThreadedWal. Call after tables are created and loaded; normally done
-  /// by exec::ThreadedBackend::Start()/Shutdown(). See docs/EXECUTION.md.
+  /// backend. While attached, every row/scan operation runs its one body
+  /// with cost charges and simulated devices skipped, its shared
+  /// structures latched per table, and logging through the backend's
+  /// ThreadedWal. Works with paged and compact storage. Call after tables
+  /// are created and loaded; normally done by
+  /// exec::ThreadedBackend::Start()/Shutdown(). See docs/EXECUTION.md.
   void AttachThreadedBackend(exec::ThreadedBackend* backend);
   bool threaded() const { return threaded_ != nullptr; }
   exec::ThreadedBackend* threaded_backend() { return threaded_; }
@@ -377,7 +379,8 @@ class Engine {
   sim::Task<Result<Slice>> ReadPagedView(ExecContext& ctx, Table* table,
                                          Slice key);
 
-  /// Functional rollback of one undo entry.
+  /// Functional rollback of one undo entry (latched; the threaded
+  /// backend's abort path calls it too).
   void ApplyUndo(const txn::UndoEntry& entry);
 
   /// Abort helper shared by both execution paths.
@@ -391,46 +394,29 @@ class Engine {
 
   static std::string QualifiedKey(const Table* table, Slice key);
 
-  // ---- threaded-backend operation paths (engine_threaded.cc) ------------
-  // Functional mirrors of the simulated ops above: same probe/uniqueness/
-  // miss-install/undo semantics, none of the cost charging. Plain functions
-  // (no suspension), so the coroutine wrappers complete synchronously on
-  // the partition agent thread that resumes them. Physical structures are
-  // guarded by per-table reader/writer locks; logical row conflicts are
-  // excluded by the partition-local locks (or the conventional-mode global
-  // mutex) exactly as in the simulator.
-  std::shared_mutex& TableMutex(const Table* table);
-  Slice TScratchCopy(Slice v);
-  Status TLogWrite(txn::Xct* xct, wal::RecordType type, uint32_t table_id,
-                   Slice key, Slice redo, Slice undo);
-  void TApplyUndo(const txn::UndoEntry& entry);
-  Result<Slice> TReadView(ExecContext& ctx, Table* table, Slice key);
-  Result<std::string> TRead(ExecContext& ctx, Table* table, Slice key);
-  std::vector<Result<std::string>> TMultiRead(
-      ExecContext& ctx, Table* table, const std::vector<std::string>& keys);
-  Status TUpdate(ExecContext& ctx, Table* table, Slice key, Slice record,
-                 const Slice* known_old);
-  Status TInsert(ExecContext& ctx, Table* table, Slice key, Slice record);
-  Status TDelete(ExecContext& ctx, Table* table, Slice key);
-  Result<std::string> TProbeSecondary(ExecContext& ctx, Table* table,
-                                      const std::string& index_name,
-                                      Slice skey);
-  Status TInsertSecondary(ExecContext& ctx, Table* table,
-                          const std::string& index_name, Slice skey,
-                          Slice pkey);
-  Result<std::vector<std::pair<std::string, std::string>>> TRangeRead(
-      ExecContext& ctx, Table* table, Slice lo, Slice hi, size_t limit);
-  Result<std::vector<std::pair<std::string, std::string>>> TRangeReadIndex(
-      ExecContext& ctx, Table* table, const std::string& index_name, Slice lo,
-      Slice hi, size_t limit);
-  Result<uint64_t> TScanCount(ExecContext& ctx, Table* table,
-                              const std::function<bool(Slice)>& pred);
-  Result<ProjectionAggregate> TScanProjection(
-      ExecContext& ctx, Table* table, const std::string& projection_name,
-      const std::function<bool(int64_t)>& pred);
-  Status TBulkMerge(ExecContext& ctx, Table* table);
-  Status TCheckpoint(ExecContext& ctx);
-  Status TReorganizeIndex(ExecContext& ctx, Table* table);
+  // ---- threaded-backend latches and device bypass ------------------------
+  // Each op has one body; on real threads the cost helpers return at once,
+  // so the body runs synchronously on the agent thread that resumes it.
+  // Physical structures are latched per table (and the SimDisk page map by
+  // disk_mu_); logical row conflicts are excluded by the partition-local
+  // locks (or the conventional-mode global mutex), as in the simulator.
+  // On the simulator every latch is an empty lock.
+  using ReadLock = std::shared_lock<std::shared_mutex>;
+  using WriteLock = std::unique_lock<std::shared_mutex>;
+  ReadLock ReadLatch(const Table* table);
+  WriteLock WriteLatch(const Table* table);
+  ReadLock DiskReadLatch();
+  WriteLock DiskWriteLatch();
+  /// A transaction's undo chain and log state are shared by its
+  /// concurrently running actions on threads.
+  std::unique_lock<std::mutex> XctLatch(txn::Xct* xct);
+  /// Copies a view out of engine memory that other threads may move
+  /// (identity on the simulator). Take it while the latch is held.
+  Slice ScratchCopy(Slice v);
+  /// Pins `id` in the buffer pool; threads bypass the pool and get the
+  /// device page a frame would alias.
+  sim::Task<Result<storage::Page*>> FetchPage(storage::PageId id);
+  void UnpinPage(storage::PageId id, bool dirty);
 
   /// Binds every RunMetrics field, breakdown component, WAL/fault counter,
   /// and platform gauge into registry_ (construction time, once).
@@ -469,11 +455,11 @@ class Engine {
   std::unique_ptr<AdmissionQueue<AdmittedTxn>> admission_;
 
   /// Real-thread backend, when attached (never set on simulator runs; the
-  /// sim paths' `threaded_` branch is always false there, keeping simulated
+  /// ops' `threaded_` legs are always skipped there, keeping simulated
   /// results bit-identical).
   exec::ThreadedBackend* threaded_ = nullptr;
-  /// Per-table reader/writer locks for the threaded paths, indexed by
-  /// table id. Sized in AttachThreadedBackend.
+  /// Per-table reader/writer locks for threaded runs, indexed by table
+  /// id. Sized in AttachThreadedBackend.
   std::vector<std::unique_ptr<std::shared_mutex>> table_mu_;
   /// Engine-wide lock for the SimDisk page MAP, which every paged table
   /// shares and the per-table locks therefore cannot cover. BasePut can

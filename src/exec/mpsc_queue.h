@@ -5,7 +5,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
-#include <optional>
 #include <thread>
 
 #include "common/macros.h"
@@ -53,10 +52,6 @@ class MpscBlockingQueue {
       cv_.notify_all();
     }
   }
-
-  bool TryPush(T item) { return ring_.TryPush(item); }
-
-  std::optional<T> TryPop() { return ring_.TryPop(); }
 
   /// Blocking pop: brief spin, then park on the condvar. The re-check after
   /// registering in `sleepers_` (under the lock, behind a fence) closes the

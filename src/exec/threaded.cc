@@ -230,7 +230,7 @@ void ThreadedBackend::AbortTxn(txn::Xct* xct) {
   // every key it wrote, so the undo writes cannot race other transactions.
   for (auto it = xct->undo_chain.rbegin(); it != xct->undo_chain.rend();
        ++it) {
-    engine_->TApplyUndo(*it);
+    engine_->ApplyUndo(*it);
     wal::LogRecord clr;
     clr.type = wal::RecordType::kClr;
     clr.txn_id = xct->id;

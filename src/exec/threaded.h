@@ -20,7 +20,6 @@
 #include "dora/action.h"
 #include "dora/partition.h"
 #include "engine/engine.h"
-#include "exec/context.h"
 #include "exec/mpsc_queue.h"
 #include "exec/threaded_wal.h"
 #include "queueing/mpmc.h"
@@ -141,7 +140,8 @@ class ThreadedBackend {
   BIONICDB_DISALLOW_COPY_AND_ASSIGN(ThreadedBackend);
 
   /// Spawns the partition agents and attaches this backend to the engine
-  /// (flipping its ops onto the threaded paths). Call after tables are
+  /// (its ops then skip cost charges and simulated devices, latch shared
+  /// structures and log to this backend's WAL). Call after tables are
   /// created and loaded.
   void Start();
 
@@ -213,7 +213,6 @@ class ThreadedBackend {
 
   engine::Engine* engine() { return engine_; }
   ThreadedWal& wal() { return wal_; }
-  Context& context() { return context_; }
   uint32_t num_partitions() const {
     return static_cast<uint32_t>(partitions_.size());
   }
@@ -259,7 +258,6 @@ class ThreadedBackend {
 
   engine::Engine* engine_;
   Config config_;
-  ThreadedContext context_;
   ThreadedWal wal_;
   std::vector<std::unique_ptr<dora::Partition>> partitions_;
   std::vector<std::unique_ptr<MpscBlockingQueue<Msg>>> queues_;

@@ -14,13 +14,13 @@ namespace bionicdb::queueing {
 /// Fixed-capacity FIFO over a power-of-two ring buffer with plain (non-atomic)
 /// head/tail counters. This is the storage layer for contexts that are
 /// guaranteed single-threaded — notably sim::SimQueue, where the simulator's
-/// one host thread serializes every producer and consumer, so the
-/// acquire/release fences of SpscRing buy nothing and cost a few cycles per
-/// push/pop on the hottest path in the codebase.
+/// one host thread serializes every producer and consumer, so atomic
+/// counters and acquire/release fences would buy nothing and cost a few
+/// cycles per push/pop on the hottest path in the codebase.
 ///
-/// Unlike SpscRing, no slot is reserved: all `capacity` (rounded up to a power
-/// of two) slots are usable, because fullness is derived from the head-tail
-/// difference rather than index equality.
+/// No slot is reserved: all `capacity` (rounded up to a power of two) slots
+/// are usable, because fullness is derived from the head-tail difference
+/// rather than index equality.
 template <typename T>
 class FifoRing {
  public:

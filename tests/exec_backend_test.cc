@@ -1,12 +1,14 @@
 // Differential tests: the threaded execution backend against the simulator
 // as determinism oracle (docs/EXECUTION.md). The same workload stream on
 // the same seed must produce the same per-transaction status codes and the
-// same final table contents on both backends, for every engine mode; a
-// concurrent threaded run must match a WAL-replay reconstruction; and the
-// crash harness must never find an acknowledged commit missing from the
-// durable log. The substrate's own pieces — the leader/follower group
-// commit, the spin-then-park completion and the mailbox wakeup protocol —
-// get targeted cases of their own.
+// same final table contents on both backends, for every engine mode and
+// both storage forms (paged and compact); a concurrent threaded run must
+// match a WAL-replay reconstruction; the scan and maintenance ops must
+// agree across backends; and the crash harness must never find an
+// acknowledged commit missing from the durable log. The substrate's own
+// pieces — the leader/follower group commit, the spin-then-park
+// completion and the mailbox wakeup protocol — get targeted cases of
+// their own.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +16,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -23,6 +26,7 @@
 
 #include "engine/engine.h"
 #include "exec/threaded.h"
+#include "index/codec.h"
 #include "sim/simulator.h"
 #include "wal/record.h"
 #include "workload/tatp.h"
@@ -56,6 +60,28 @@ EngineConfig ConfigFor(EngineMode mode) {
     }
   }
   return EngineConfig::Dora();
+}
+
+/// One oracle configuration: an engine mode and a storage form. Four bytes,
+/// mode first, so a paged case prints exactly like a bare EngineMode and
+/// keeps its ctest name.
+struct OracleCase {
+  uint8_t mode;  ///< EngineMode value.
+  bool compact;
+  uint8_t zero[2] = {};
+};
+static_assert(sizeof(OracleCase) == sizeof(EngineMode));
+
+OracleCase Paged(EngineMode m) { return {static_cast<uint8_t>(m), false}; }
+OracleCase Compact(EngineMode m) { return {static_cast<uint8_t>(m), true}; }
+EngineMode ModeOf(const OracleCase& c) {
+  return static_cast<EngineMode>(c.mode);
+}
+
+EngineConfig ConfigFor(const OracleCase& c) {
+  EngineConfig config = ConfigFor(ModeOf(c));
+  config.compact_storage = c.compact;
+  return config;
 }
 
 /// Aborts the test binary with a message if the scope is still running
@@ -125,9 +151,9 @@ sim::Task<void> DriveSimTatp(Engine* eng, TatpWorkload* w, int n,
   co_await eng->Shutdown();
 }
 
-SeqResult RunSimTatp(EngineMode mode, uint64_t seed, int n) {
+SeqResult RunSimTatp(const EngineConfig& config, uint64_t seed, int n) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(mode));
+  Engine engine(&sim, config);
   TatpConfig wcfg;
   wcfg.subscribers = 300;
   wcfg.seed = seed;
@@ -141,9 +167,10 @@ SeqResult RunSimTatp(EngineMode mode, uint64_t seed, int n) {
   return r;
 }
 
-SeqResult RunThreadedTatp(EngineMode mode, uint64_t seed, int n) {
+SeqResult RunThreadedTatp(const EngineConfig& config, uint64_t seed,
+                          int n) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(mode));
+  Engine engine(&sim, config);
   TatpConfig wcfg;
   wcfg.subscribers = 300;
   wcfg.seed = seed;
@@ -164,15 +191,15 @@ SeqResult RunThreadedTatp(EngineMode mode, uint64_t seed, int n) {
   return r;
 }
 
-class BackendModeTest : public ::testing::TestWithParam<EngineMode> {};
+class BackendModeTest : public ::testing::TestWithParam<OracleCase> {};
 
 // The determinism-oracle contract, sequentially: same seed, same workload
-// stream -> identical status codes and identical final B+Tree contents on
-// both backends. Three seeds per mode.
+// stream -> identical status codes and identical final table contents on
+// both backends. Three seeds per case.
 TEST_P(BackendModeTest, TatpSequentialMatchesSimulator) {
   for (uint64_t seed : {1u, 2u, 3u}) {
-    SeqResult simulated = RunSimTatp(GetParam(), seed, 200);
-    SeqResult threaded = RunThreadedTatp(GetParam(), seed, 200);
+    SeqResult simulated = RunSimTatp(ConfigFor(GetParam()), seed, 200);
+    SeqResult threaded = RunThreadedTatp(ConfigFor(GetParam()), seed, 200);
     EXPECT_EQ(simulated.codes, threaded.codes) << "seed " << seed;
     ASSERT_EQ(simulated.tables.size(), threaded.tables.size());
     for (size_t t = 0; t < simulated.tables.size(); ++t) {
@@ -298,13 +325,161 @@ TEST_P(BackendModeTest, TatpConcurrentMatchesWalReplay) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllModes, BackendModeTest,
-                         ::testing::Values(EngineMode::kConventional,
-                                           EngineMode::kDora,
-                                           EngineMode::kBionic),
-                         [](const auto& info) {
-                           return engine::EngineModeName(info.param);
-                         });
+// The scan and maintenance ops the workloads above never reach — ScanCount,
+// ScanProjection, BulkMerge, Checkpoint, ReorganizeIndex — on a small int
+// table with a columnar projection, around one update/insert/delete
+// transaction whose single-key steps run concurrently on their partitions.
+// Each op's outcome and the final table must agree across backends. The
+// bionic case keeps half its rows out of the overlay, so the transaction
+// also takes the overlay miss leg.
+struct OpsResult {
+  int txn = -1;            ///< Status code of the transaction.
+  std::vector<int> codes;  ///< Status code per non-transactional op.
+  std::vector<uint64_t> counts;
+  std::vector<std::pair<uint64_t, int64_t>> aggregates;
+  std::vector<TableDump> tables;
+  uint64_t miss_installs = 0;  ///< Overlay rows installed after the load.
+  std::string durable_log;     ///< Threaded runs: the WAL's durable prefix.
+};
+
+std::string IntRec(int64_t v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+int64_t IntOf(Slice rec) {
+  int64_t v;
+  std::memcpy(&v, rec.data(), sizeof(v));
+  return v;
+}
+
+/// Updates ('u'), inserts ('i') and deletes ('d'), one key per step.
+Engine::TxnSpec MutatingTxn(engine::Table* t) {
+  const std::pair<uint64_t, char> ops[] = {
+      {3, 'u'},   {10, 'u'},  {17, 'u'}, {41, 'u'}, {200, 'i'},
+      {201, 'i'}, {202, 'i'}, {5, 'd'},  {6, 'd'},  {60, 'd'}};
+  Engine::Phase phase;
+  for (const auto& [k, op] : ops) {
+    Engine::TxnStep step;
+    step.table = t;
+    step.keys = {index::EncodeKeyU64(k)};
+    step.fn = [t, op = op, key = step.keys[0]](
+                  Engine::ExecContext& c) -> sim::Task<Status> {
+      if (op == 'u') {
+        co_return co_await c.engine->Update(c, t, key, IntRec(1000));
+      }
+      if (op == 'i') co_return co_await c.engine->Insert(c, t, key, IntRec(7));
+      co_return co_await c.engine->Delete(c, t, key);
+    };
+    phase.push_back(std::move(step));
+  }
+  Engine::TxnSpec spec;
+  spec.phases.push_back(std::move(phase));
+  return spec;
+}
+
+/// One pass of the op sequence. `backend` is null on the simulator; with
+/// it, the transaction goes through ThreadedBackend::Execute and the
+/// caller drives this task with sim::RunToCompletion.
+sim::Task<void> DriveOps(Engine* eng, ThreadedBackend* backend,
+                         OpsResult* out) {
+  engine::Table* t = eng->db().GetTable("vals");
+  Engine::ExecContext ctx;
+  ctx.engine = eng;
+  auto scan = [&]() -> sim::Task<void> {
+    auto n = co_await eng->ScanCount(
+        ctx, t, [](Slice rec) { return IntOf(rec) % 3 == 0; });
+    out->codes.push_back(static_cast<int>(n.status().code()));
+    if (n.ok()) out->counts.push_back(*n);
+    auto agg = co_await eng->ScanProjection(
+        ctx, t, "val", [](int64_t v) { return v >= 50; });
+    out->codes.push_back(static_cast<int>(agg.status().code()));
+    if (agg.ok()) out->aggregates.emplace_back(agg->matches, agg->sum);
+  };
+  co_await scan();
+  Status st;
+  if (backend != nullptr) {
+    st = backend->Execute(MutatingTxn(t));
+  } else {
+    st = co_await eng->Execute(MutatingTxn(t));
+  }
+  out->txn = static_cast<int>(st.code());
+  co_await scan();
+  out->codes.push_back(
+      static_cast<int>((co_await eng->BulkMerge(ctx, t)).code()));
+  out->codes.push_back(
+      static_cast<int>((co_await eng->ReorganizeIndex(ctx, t)).code()));
+  out->codes.push_back(static_cast<int>((co_await eng->Checkpoint(ctx)).code()));
+  co_await scan();
+  if (backend == nullptr) co_await eng->Shutdown();
+}
+
+OpsResult RunOps(EngineConfig config, bool threaded) {
+  config.overlay_residency = 0.5;
+  Simulator sim;
+  Engine engine(&sim, config);
+  engine::Table* t = engine.CreateTable("vals");
+  for (uint64_t i = 0; i < 150; ++i) {
+    EXPECT_TRUE(engine
+                    .LoadRow(t, index::EncodeKeyU64(i),
+                             IntRec(static_cast<int64_t>(i * 7 % 100)))
+                    .ok());
+  }
+  engine.FinalizeLoad();
+  EXPECT_TRUE(t->AddColumnarProjection("val", IntOf).ok());
+  const uint64_t loaded = t->overlay() ? t->overlay()->stats().installs : 0;
+  OpsResult r;
+  if (threaded) {
+    ThreadedBackend::Config bcfg;
+    bcfg.wal.fsync_latency_us = 1;
+    ThreadedBackend backend(&engine, bcfg);
+    backend.Start();
+    sim::RunToCompletion(DriveOps(&engine, &backend, &r));
+    r.durable_log = backend.wal().DurablePrefix();
+    backend.Shutdown();
+  } else {
+    engine.Start();
+    sim.Spawn(DriveOps(&engine, nullptr, &r));
+    sim.Run();
+  }
+  r.tables = DumpTables(engine);
+  if (t->overlay()) r.miss_installs = t->overlay()->stats().installs - loaded;
+  return r;
+}
+
+TEST_P(BackendModeTest, ScanAndMaintenanceOpsMatchSimulator) {
+  const OpsResult simulated = RunOps(ConfigFor(GetParam()), false);
+  const OpsResult threaded = RunOps(ConfigFor(GetParam()), true);
+  EXPECT_EQ(simulated.txn, static_cast<int>(StatusCode::kOk));
+  EXPECT_EQ(simulated.txn, threaded.txn);
+  EXPECT_EQ(simulated.codes, threaded.codes);
+  EXPECT_EQ(simulated.counts, threaded.counts);
+  EXPECT_EQ(simulated.aggregates, threaded.aggregates);
+  EXPECT_EQ(simulated.tables, threaded.tables);
+  EXPECT_EQ(simulated.miss_installs, threaded.miss_installs);
+  if (ModeOf(GetParam()) == EngineMode::kBionic) {
+    EXPECT_GT(threaded.miss_installs, 0u);
+  }
+
+  auto parsed = wal::ParseLogStream(Slice(threaded.durable_log));
+  ASSERT_TRUE(parsed.ok());
+  bool checkpointed = false;
+  for (const wal::LogRecord& rec : *parsed) {
+    checkpointed |= rec.type == wal::RecordType::kCheckpoint;
+  }
+  EXPECT_TRUE(checkpointed);
+}
+
+// Compact storage replaces the paged heap the bionic overlay caches, so it
+// runs in the conventional and DORA modes only.
+INSTANTIATE_TEST_SUITE_P(
+    AllModes, BackendModeTest,
+    ::testing::Values(Paged(EngineMode::kConventional),
+                      Paged(EngineMode::kDora), Paged(EngineMode::kBionic),
+                      Compact(EngineMode::kConventional),
+                      Compact(EngineMode::kDora)),
+    [](const auto& info) {
+      return std::string(engine::EngineModeName(ModeOf(info.param))) +
+             (info.param.compact ? "Compact" : "");
+    });
 
 // Crash-harness smoke on the threaded group-commit WAL: after Crash(), every
 // already-acknowledged write commit must have its commit record inside the

@@ -1,5 +1,5 @@
-// Tests for the concurrent queues (SPSC ring, MPMC) — including real
-// multi-threaded stress — and the agent doze/convoy scheduler.
+// Tests for the concurrent MPMC queue — including real multi-threaded
+// stress — and the agent doze/convoy scheduler.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +9,6 @@
 
 #include "queueing/admission.h"
 #include "queueing/mpmc.h"
-#include "queueing/ring.h"
 #include "queueing/scheduler.h"
 #include "sim/simulator.h"
 #include "sim/sync.h"
@@ -17,60 +16,6 @@
 
 namespace bionicdb::queueing {
 namespace {
-
-// ------------------------------------------------------------------- SPSC --
-
-TEST(SpscRingTest, PushPopSingleThread) {
-  SpscRing<int> ring(4);
-  EXPECT_TRUE(ring.Empty());
-  EXPECT_TRUE(ring.TryPush(1));
-  EXPECT_TRUE(ring.TryPush(2));
-  EXPECT_EQ(ring.SizeApprox(), 2u);
-  EXPECT_EQ(*ring.TryPop(), 1);
-  EXPECT_EQ(*ring.TryPop(), 2);
-  EXPECT_FALSE(ring.TryPop().has_value());
-}
-
-TEST(SpscRingTest, FillsToCapacity) {
-  SpscRing<int> ring(4);
-  int pushed = 0;
-  while (ring.TryPush(pushed)) ++pushed;
-  EXPECT_GE(pushed, 4);
-  EXPECT_FALSE(ring.TryPush(99));
-  EXPECT_EQ(*ring.TryPop(), 0);
-  EXPECT_TRUE(ring.TryPush(99));  // a pop frees a slot
-}
-
-TEST(SpscRingTest, TwoThreadStress) {
-  SpscRing<uint64_t> ring(256);
-  constexpr uint64_t kItems = 200000;
-  std::atomic<uint64_t> sum{0};
-  std::thread producer([&] {
-    for (uint64_t i = 1; i <= kItems; ++i) {
-      while (!ring.TryPush(i)) std::this_thread::yield();
-    }
-  });
-  std::thread consumer([&] {
-    uint64_t local = 0, got = 0;
-    uint64_t expected_next = 1;
-    while (got < kItems) {
-      auto v = ring.TryPop();
-      if (!v) {
-        std::this_thread::yield();
-        continue;
-      }
-      // FIFO must hold exactly in SPSC.
-      ASSERT_EQ(*v, expected_next);
-      ++expected_next;
-      local += *v;
-      ++got;
-    }
-    sum = local;
-  });
-  producer.join();
-  consumer.join();
-  EXPECT_EQ(sum.load(), kItems * (kItems + 1) / 2);
-}
 
 // ------------------------------------------------------------------- MPMC --
 
