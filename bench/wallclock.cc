@@ -149,9 +149,9 @@ sim::Task<void> DispatchDriver(sim::Simulator* sim, dora::Executor* ex,
                                uint64_t n,
                                const std::vector<std::string>* keys) {
   // One Xct reused across iterations (fresh id/priority each time), actions
-  // from the executor's pool, SSO-sized lock keys: after the first few
-  // cycles warm the pool and table, the dispatch->pop->execute->release
-  // cycle runs allocation-free.
+  // from the executor's pool, fixed-width lock keys: after the first few
+  // cycles warm the pool and the tables' free lists, the
+  // dispatch->pop->execute->release cycle runs allocation-free.
   txn::Xct xct;
   for (uint64_t i = 0; i < n; ++i) {
     xct.id = i + 1;

@@ -1,7 +1,8 @@
 // Byte hashing shared by the routing paths. DORA routing must be stable
 // across every caller that hashes the same qualified key — the executor's
-// Dispatch, its lock-release re-dispatch, and Engine::PartitionOf all have
-// to agree, so they all funnel through these functions.
+// Dispatch, its lock-release re-dispatch, the threaded backend's Dispatch
+// and Engine::PartitionOf all have to agree, so they all funnel through
+// these functions (via txn::LockKey::hash).
 #pragma once
 
 #include <cstddef>
@@ -13,22 +14,15 @@ namespace bionicdb::common {
 inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ull;
 inline constexpr uint64_t kFnvPrime = 1099511628211ull;
 
-/// Extends a running FNV-1a 64-bit hash with `n` more bytes. Hashing two
-/// fragments in sequence gives the same result as hashing their
-/// concatenation, which lets callers hash a qualified key ("t<id>:<key>")
-/// without materializing the string.
-inline uint64_t FnvExtend(uint64_t h, const void* data, size_t n) {
+/// FNV-1a 64-bit hash.
+inline uint64_t HashBytes(const void* data, size_t n) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
+  uint64_t h = kFnvOffsetBasis;
   for (size_t i = 0; i < n; ++i) {
     h ^= p[i];
     h *= kFnvPrime;
   }
   return h;
-}
-
-/// One-shot FNV-1a 64-bit hash.
-inline uint64_t HashBytes(const void* data, size_t n) {
-  return FnvExtend(kFnvOffsetBasis, data, n);
 }
 
 inline uint64_t HashBytes(std::string_view sv) {

@@ -8,18 +8,16 @@
 // data, so actions need no latches — only cheap partition-local locks held
 // until commit.
 //
-// Actions are pooled (ActionPool) and their lock keys live in a per-action
-// byte arena, so the steady-state dispatch cycle — acquire, fill, route,
-// execute, release — performs no heap allocations once the pool and arenas
-// have warmed up.
+// Actions are pooled (ActionPool) and hold their lock keys as fixed-width
+// txn::LockKeys in a per-action vector that keeps its capacity across
+// reuse, so the steady-state dispatch cycle — acquire, fill, route,
+// execute, release — performs no heap allocations once the pool has warmed
+// up.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/inplace_function.h"
@@ -27,6 +25,7 @@
 #include "common/status.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "txn/lock_key.h"
 #include "txn/xct.h"
 
 namespace bionicdb::exec {
@@ -98,39 +97,21 @@ struct Action {
   SimTime parked_since = 0;
 
   /// Appends a partition-local lock key (all-or-nothing; held until the
-  /// transaction finishes). Keys are stored in the action's byte arena.
-  void AddLockKey(Slice key) { AddLockKey(Slice(), key); }
+  /// transaction finishes), usually a qualified key "t<id>:<key>".
+  void AddLockKey(const txn::LockKey& key) { keys_.push_back(key); }
 
-  /// Appends prefix+key as one lock key without materializing the
-  /// concatenation anywhere else (used for qualified keys "t<id>:<key>").
-  void AddLockKey(Slice prefix, Slice key) {
-    const uint32_t off = static_cast<uint32_t>(arena_.size());
-    if (prefix.size() != 0) {
-      arena_.insert(arena_.end(), prefix.data(), prefix.data() + prefix.size());
-    }
-    if (key.size() != 0) {
-      arena_.insert(arena_.end(), key.data(), key.data() + key.size());
-    }
-    refs_.push_back({off, static_cast<uint32_t>(prefix.size() + key.size())});
-  }
+  /// Appends exactly the bytes of `raw` as a lock key.
+  void AddLockKey(Slice raw) { keys_.emplace_back(raw.ToView()); }
 
-  size_t num_lock_keys() const { return refs_.size(); }
+  size_t num_lock_keys() const { return keys_.size(); }
 
-  std::string_view lock_key(size_t i) const {
-    return {arena_.data() + refs_[i].off, refs_[i].len};
-  }
+  const txn::LockKey& lock_key(size_t i) const { return keys_[i]; }
 
   /// Sorts the lock keys bytewise. Deterministic lock order across actions
   /// is what makes partition-local wait-die deadlock-free.
-  void SortLockKeys() {
-    std::sort(refs_.begin(), refs_.end(), [this](const KeyRef& a,
-                                                 const KeyRef& b) {
-      return std::string_view(arena_.data() + a.off, a.len) <
-             std::string_view(arena_.data() + b.off, b.len);
-    });
-  }
+  void SortLockKeys() { std::sort(keys_.begin(), keys_.end()); }
 
-  /// Clears logical state for reuse; arena/ref capacity is retained.
+  /// Clears logical state for reuse; lock-key capacity is retained.
   void Reset() {
     xct = nullptr;
     shared_locks = false;
@@ -140,21 +121,15 @@ struct Action {
     socket = 0;
     enqueue_ts = 0;
     parked_since = 0;
-    arena_.clear();
-    refs_.clear();
+    keys_.clear();
   }
 
  private:
-  struct KeyRef {
-    uint32_t off;
-    uint32_t len;
-  };
-  std::vector<char> arena_;
-  std::vector<KeyRef> refs_;
+  std::vector<txn::LockKey> keys_;
 };
 
 /// Freelist of Actions. Release() resets logical state but keeps each
-/// action's arena capacity, so a warmed pool hands out ready-to-fill
+/// action's lock-key capacity, so a warmed pool hands out ready-to-fill
 /// actions without touching the allocator.
 class ActionPool {
  public:

@@ -45,6 +45,9 @@ sim::Task<void> Executor::Drain() {
     BIONICDB_CHECK_MSG(p->parked_actions() == 0,
                        "drain with %zu parked actions in partition %u",
                        p->parked_actions(), p->id());
+    BIONICDB_CHECK_MSG(p->lock_entries() == 0,
+                       "drain with %zu locked keys in partition %u",
+                       p->lock_entries(), p->id());
     co_await p->queue().Push(nullptr);  // poison
   }
   running_ = false;
@@ -63,8 +66,7 @@ sim::Task<void> Executor::Dispatch(Action* action) {
   breakdown_->Charge(hw::Component::kDora, cost);
   if (config_.hw_queues) co_await queue_engine_->Operate();
 
-  Partition* p =
-      partitions_[Route(common::HashBytes(action->lock_key(0)))].get();
+  Partition* p = partitions_[Route(action->lock_key(0).hash())].get();
   // Cross-socket dispatch: the queue's cachelines bounce between sockets
   // (§5.4's "socket-to-socket communication latencies").
   const int agent_socket =
@@ -93,7 +95,7 @@ sim::Task<void> Executor::ReleaseTxnLocks(txn::Xct* xct) {
   for (Action* a : ready) {
     ++stats_.reparks;
     // Re-enqueue through the owning partition's queue (normal path).
-    Partition* p = partitions_[Route(common::HashBytes(a->lock_key(0)))].get();
+    Partition* p = partitions_[Route(a->lock_key(0).hash())].get();
     co_await p->queue().Push(a);
   }
 }

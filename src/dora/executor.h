@@ -53,11 +53,12 @@ class Executor {
   void Start();
 
   /// Sends poison pills; agents exit once their queues drain. Await-able
-  /// only after all transactions finished (no parked actions may remain).
+  /// only after all transactions finished: it CHECKs that no partition
+  /// still holds a lock or a parked action.
   sim::Task<void> Drain();
 
-  /// Hands out a pooled action (reset, with arena capacity retained from
-  /// earlier use). Pass it to Dispatch(); it returns to the pool
+  /// Hands out a pooled action (reset, with lock-key capacity retained
+  /// from earlier use). Pass it to Dispatch(); it returns to the pool
   /// automatically once it has executed or died.
   Action* AcquireAction() { return pool_.Acquire(); }
 

@@ -10,24 +10,22 @@
 // conflicts only with younger transactions parks until release. All waits
 // therefore point old -> young and no cycle can form.
 //
-// The lock and park tables use transparent (string_view) lookup so probing
-// with arena-resident action keys never materializes a std::string, and
-// emptied entries are retained so re-locking a warm key reuses its bucket
-// node instead of reallocating it.
+// Both tables are keyed by fixed-width txn::LockKeys and hold only live
+// state: a lock entry is erased when its last holder leaves, a parked list
+// once it is woken. Erased nodes go on per-partition free lists and are
+// re-keyed on the next insert. So the tables never outgrow the locks held
+// at one time, and locking a key, warm or fresh, allocates nothing once
+// the free lists have warmed up.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/macros.h"
 #include "dora/action.h"
 #include "sim/sim_queue.h"
+#include "txn/lock_key.h"
 
 namespace bionicdb::dora {
 
@@ -35,7 +33,6 @@ struct PartitionStats {
   uint64_t actions_executed = 0;
   uint64_t lock_conflicts = 0;  ///< Actions parked at least once.
   uint64_t wait_die_aborts = 0;
-  uint64_t locks_taken = 0;
 };
 
 enum class LockOutcome { kGranted, kParked, kDie };
@@ -67,39 +64,19 @@ class Partition {
   /// them through the normal queue so ordering costs stay honest).
   void ReleaseLocks(txn::Xct* xct, std::vector<Action*>* ready);
 
-  /// True if `key` is currently locked (by anyone). Emptied entries stay
-  /// in the table, so presence alone does not mean locked.
-  bool IsLocked(std::string_view key) const {
-    auto it = locks_.find(key);
-    return it != locks_.end() && !it->second.holders.empty();
-  }
-
   const PartitionStats& stats() const { return stats_; }
   PartitionStats& mutable_stats() { return stats_; }
 
   AgentState agent_state() const { return agent_state_; }
   void set_agent_state(AgentState s) { agent_state_ = s; }
 
-  /// Debug: (key, holder txn, holder priority, shared) of every held lock.
-  std::vector<std::tuple<std::string, txn::TxnId, uint64_t, bool>>
-  DebugLocks() const {
-    std::vector<std::tuple<std::string, txn::TxnId, uint64_t, bool>> out;
-    for (auto& [key, ls] : locks_) {
-      for (auto& h : ls.holders) out.emplace_back(key, h.txn, h.priority, h.shared);
-    }
-    return out;
-  }
-  /// Debug: keys with parked actions and the parked transactions.
-  std::vector<std::pair<std::string, txn::TxnId>> DebugParked() const {
-    std::vector<std::pair<std::string, txn::TxnId>> out;
-    for (auto& [key, dq] : parked_) {
-      for (auto* a : dq) out.emplace_back(key, a->xct->id);
-    }
-    return out;
-  }
+  /// Keys some transaction holds a lock on.
+  size_t lock_entries() const { return locks_.size(); }
+  /// Keys with at least one parked action.
+  size_t parked_entries() const { return parked_.size(); }
   size_t parked_actions() const {
     size_t n = 0;
-    for (auto& [k, dq] : parked_) n += dq.size();
+    for (auto& [key, actions] : parked_) n += actions.size();
     return n;
   }
 
@@ -109,28 +86,18 @@ class Partition {
     uint64_t priority;
     bool shared;
   };
-  struct LockState {
-    std::vector<Holder> holders;
-  };
 
-  struct TransparentHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view sv) const {
-      return static_cast<size_t>(common::HashBytes(sv));
-    }
-    size_t operator()(const std::string& s) const {
-      return operator()(std::string_view(s));
-    }
-  };
-
-  template <typename V>
-  using KeyMap =
-      std::unordered_map<std::string, V, TransparentHash, std::equal_to<>>;
+  using LockTable =
+      std::unordered_map<txn::LockKey, std::vector<Holder>, txn::LockKeyHash>;
+  using ParkTable =
+      std::unordered_map<txn::LockKey, std::vector<Action*>, txn::LockKeyHash>;
 
   uint32_t id_;
   sim::SimQueue<Action*> queue_;
-  KeyMap<LockState> locks_;
-  KeyMap<std::deque<Action*>> parked_;
+  LockTable locks_;
+  ParkTable parked_;
+  std::vector<LockTable::node_type> free_locks_;
+  std::vector<ParkTable::node_type> free_parked_;
   PartitionStats stats_;
   AgentState agent_state_ = AgentState::kIdle;
 };

@@ -1261,14 +1261,6 @@ sim::Task<Status> Engine::ReorganizeIndex(ExecContext& ctx, Table* table) {
 
 // ------------------------------------------------------------ txn driving --
 
-std::string Engine::QualifiedKey(const Table* table, Slice key) {
-  std::string q = "t";
-  q += std::to_string(table->id());
-  q += ":";
-  q.append(key.data(), key.size());
-  return q;
-}
-
 void Engine::ApplyUndo(const txn::UndoEntry& entry) {
   Table* table = db_->GetTable(entry.table_id);
   BIONICDB_CHECK(table != nullptr);
@@ -1637,18 +1629,15 @@ sim::Task<Status> Engine::RunPhaseDora(Phase& phase, ExecContext& ctx) {
   const bool async = config_.mode == EngineMode::kBionic;
   dora::Rvp rvp(sim_, static_cast<int>(phase.size()));
   for (TxnStep& step : phase) {
-    // Actions come from the executor's pool and carry their lock keys in a
-    // per-action arena: steady-state dispatch touches no allocator.
+    // Actions come from the executor's pool and carry fixed-width lock
+    // keys: steady-state dispatch touches no allocator.
     dora::Action* action = executor_->AcquireAction();
     action->xct = ctx.xct;
     action->rvp = &rvp;
     action->socket = ctx.socket;
     action->shared_locks = step.read_only;
-    char prefix[16];
-    const int n =
-        std::snprintf(prefix, sizeof(prefix), "t%u:", step.table->id());
     for (const std::string& key : step.keys) {
-      action->AddLockKey(Slice(prefix, static_cast<size_t>(n)), Slice(key));
+      action->AddLockKey(QualifiedKey(step.table, key));
     }
     action->SortLockKeys();
     Engine* self = this;

@@ -4,7 +4,6 @@
 // exposes the transactional and analytic API the workloads run against.
 #pragma once
 
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -12,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/macros.h"
 #include "common/result.h"
 #include "dora/executor.h"
@@ -315,14 +313,8 @@ class Engine {
   uint32_t PartitionOf(const Table* table, Slice key) const {
     if (!executor_) return 0;
     // Must agree with the executor's routing, which hashes the action's
-    // qualified first lock key ("t<id>:<key>"); FNV-1a extension over the
-    // two fragments equals hashing the concatenation, no string built.
-    char prefix[16];
-    const int n = std::snprintf(prefix, sizeof(prefix), "t%u:", table->id());
-    uint64_t h = common::FnvExtend(common::kFnvOffsetBasis, prefix,
-                                   static_cast<size_t>(n));
-    h = common::FnvExtend(h, key.data(), key.size());
-    return executor_->Route(h);
+    // qualified first lock key.
+    return executor_->Route(QualifiedKey(table, key).hash());
   }
 
   /// True when rows live in the overlay instead of buffer-pooled pages.
@@ -392,7 +384,11 @@ class Engine {
   sim::Task<Status> RunPhaseDora(Phase& phase, ExecContext& ctx);
   sim::Task<Status> RunAllPhases(TxnSpec& spec, ExecContext& ctx);
 
-  static std::string QualifiedKey(const Table* table, Slice key);
+  /// The lock key "t<table id>:<key>" both lock managers and DORA routing
+  /// use.
+  static txn::LockKey QualifiedKey(const Table* table, Slice key) {
+    return txn::LockKey(table->id(), key);
+  }
 
   // ---- threaded-backend latches and device bypass ------------------------
   // Each op has one body; on real threads the cost helpers return at once,

@@ -3,7 +3,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <deque>
 
 #include "common/hash.h"
@@ -50,6 +49,13 @@ void ThreadedBackend::Shutdown() {
   }
   for (auto& t : agents_) t.join();
   agents_.clear();
+  // Every transaction has released its locks, so the tables are empty.
+  for (const auto& p : partitions_) {
+    BIONICDB_CHECK_MSG(p->lock_entries() == 0 && p->parked_entries() == 0,
+                       "shutdown with %zu locked and %zu parked keys in "
+                       "partition %u",
+                       p->lock_entries(), p->parked_entries(), p->id());
+  }
   wal_.Flush();
   engine_->AttachThreadedBackend(nullptr);
   started_ = false;
@@ -121,7 +127,7 @@ void ThreadedBackend::Dispatch(dora::Action* action) {
   // Same routing as dora::Executor::Dispatch: avalanche the first sorted
   // lock key's hash, then modulo.
   const uint32_t pid = static_cast<uint32_t>(
-      common::Mix64(common::HashBytes(action->lock_key(0))) %
+      common::Mix64(action->lock_key(0).hash()) %
       static_cast<uint64_t>(partitions_.size()));
   Msg msg;
   msg.kind = Msg::Kind::kAction;
@@ -160,11 +166,8 @@ Status ThreadedBackend::RunPhaseDora(engine::Engine::Phase& phase,
     action->trvp = &rvp;
     action->socket = ctx.socket;
     action->shared_locks = step.read_only;
-    char prefix[16];
-    const int n =
-        std::snprintf(prefix, sizeof(prefix), "t%u:", step.table->id());
     for (const std::string& key : step.keys) {
-      action->AddLockKey(Slice(prefix, static_cast<size_t>(n)), Slice(key));
+      action->AddLockKey(engine::Engine::QualifiedKey(step.table, key));
     }
     action->SortLockKeys();
     engine::Engine* self = engine_;

@@ -1,6 +1,7 @@
 #include "txn/lock_manager.h"
 
 #include <algorithm>
+#include <string>
 
 namespace bionicdb::txn {
 
@@ -28,8 +29,7 @@ bool LockManager::ShouldDie(const LockState& ls, const Xct& xct,
   return false;
 }
 
-sim::Task<Status> LockManager::Acquire(Xct* xct, const std::string& key,
-                                       LockMode mode) {
+sim::Task<Status> LockManager::Acquire(Xct* xct, LockKey key, LockMode mode) {
   ++stats_.acquires;
   const SimTime t0 = sim_->Now();
   bool waited = false;
@@ -61,7 +61,7 @@ sim::Task<Status> LockManager::Acquire(Xct* xct, const std::string& key,
       // A woken waiter that dies here may be the last party interested in
       // this key; reclaim the slot it would otherwise orphan.
       MaybeReclaim(key);
-      co_return Status::Aborted("wait-die: lock " + key +
+      co_return Status::Aborted("wait-die: lock " + std::string(key.view()) +
                                 " held by older transaction");
     }
     // Older than every conflicting holder: wait for a release.
@@ -99,7 +99,7 @@ void LockManager::ReleaseAll(Xct* xct) {
   xct->held_locks.clear();
 }
 
-void LockManager::MaybeReclaim(const std::string& key) {
+void LockManager::MaybeReclaim(const LockKey& key) {
   auto it = table_.find(key);
   if (it == table_.end()) return;
   LockState& ls = it->second;

@@ -5,8 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -15,6 +13,7 @@
 #include "sim/simulator.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "txn/lock_key.h"
 #include "txn/xct.h"
 
 namespace bionicdb::txn {
@@ -37,7 +36,7 @@ class LockManager {
   /// exist; wait-die: a younger requester conflicting with an older holder
   /// aborts immediately (Status::Aborted). Re-entrant; upgrades S->X when
   /// the holder is alone.
-  sim::Task<Status> Acquire(Xct* xct, const std::string& key, LockMode mode);
+  sim::Task<Status> Acquire(Xct* xct, LockKey key, LockMode mode);
 
   /// Releases every lock `xct` holds (commit/abort time).
   void ReleaseAll(Xct* xct);
@@ -62,14 +61,14 @@ class LockManager {
   /// queued behind it. Without this, a key whose waiters all die via
   /// wait-die keeps its entry forever: ReleaseAll only reclaims when no
   /// waiter is registered at release time.
-  void MaybeReclaim(const std::string& key);
+  void MaybeReclaim(const LockKey& key);
   /// True when some incompatible holder is older (higher priority) than
   /// the requester: wait-die lets the older transaction wait; the younger
   /// one must die. Priorities survive retries, so retried transactions age.
   bool ShouldDie(const LockState& ls, const Xct& xct, LockMode mode) const;
 
   sim::Simulator* sim_;
-  std::unordered_map<std::string, LockState> table_;
+  std::unordered_map<LockKey, LockState, LockKeyHash> table_;
   LockStats stats_;
 };
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "txn/lock_key.h"
 #include "wal/record.h"
 
 namespace bionicdb::obs {
@@ -51,10 +52,9 @@ struct Xct {
   bool begin_logged = false;  ///< Begin record written lazily on first write.
   std::vector<UndoEntry> undo_chain;
 
-  /// Locks held, for release at end of transaction. The meaning of the
-  /// pair depends on the engine: (lock-table hash, key) for 2PL,
-  /// (partition id, key) for DORA local locks.
-  std::vector<std::pair<uint32_t, std::string>> held_locks;
+  /// Locks held, for release at end of transaction: (partition id, key)
+  /// for DORA local locks, (0, key) for the 2PL LockManager's one table.
+  std::vector<std::pair<uint32_t, LockKey>> held_locks;
 
   /// Tail-latency attribution record (obs/timeline.h), owned by the
   /// engine's FlightRecorder. Null unless the recorder is enabled; every

@@ -2,10 +2,11 @@
 //
 // Defines the counting operator-new hook for this binary and drives the
 // same dispatch -> pop -> lock -> execute -> release cycle the wallclock
-// bench measures: pooled actions, arena lock keys (SSO-sized), a reused
-// Xct, and ring-backed queues. After a warmup that fills the action pool,
-// the lock table, and the coroutine-frame freelists, the steady-state
-// cycle must perform ZERO heap allocations.
+// bench measures: pooled actions, fixed-width lock keys, a reused Xct, and
+// ring-backed queues. After a warmup that fills the action pool, the lock
+// tables' node free lists, and the coroutine-frame freelists, the
+// steady-state cycle must perform ZERO heap allocations — whether it
+// re-locks a small set of warm keys or locks a key never seen before.
 //
 // The obs tracer rides the same hot path, so its contract is enforced
 // here too: a disabled tracer must not change the allocation story (each
@@ -79,8 +80,7 @@ uint64_t RunDispatchCycle(obs::Tracer* tracer) {
   dora::Executor ex(&platform, ec, nullptr, &bd);
   ex.Start();
 
-  // 64 distinct keys, all <= 15 bytes so held-lock bookkeeping stays in
-  // std::string's SSO buffer.
+  // 64 distinct keys, re-locked round robin (the warm-key case).
   std::vector<std::string> keys;
   for (int i = 0; i < 64; ++i) keys.push_back("k" + std::to_string(i));
 
@@ -160,6 +160,97 @@ TEST(DispatchAllocTest, ThreadedSteadyStateCycleIsAllocationFree) {
   ExpectSteadyStateAllocFree(steady);
   // The pool stopped growing after warmup (one action in flight at a time).
   EXPECT_LE(allocated, 4u);
+}
+
+/// The lock key of cycle `i`, written into `buf`: (i, i * 31) as two
+/// big-endian u64s, the 16-byte TATP pair shape and one byte past
+/// std::string's SSO buffer. No two cycles share a key.
+Slice FreshPairKey(uint64_t i, char (&buf)[16]) {
+  for (int b = 0; b < 8; ++b) {
+    buf[7 - b] = static_cast<char>(i >> (8 * b));
+    buf[15 - b] = static_cast<char>((i * 31) >> (8 * b));
+  }
+  return Slice(buf, sizeof(buf));
+}
+
+sim::Task<void> FreshKeyDispatchCycles(sim::Simulator* sim,
+                                       dora::Executor* ex,
+                                       uint64_t* steady_allocs) {
+  txn::Xct xct;
+  for (uint64_t i = 0; i < kWarmup + kMeasured; ++i) {
+    if (i == kWarmup) *steady_allocs = bench::AllocCount();
+    xct.id = i + 1;
+    xct.priority = i + 1;
+    dora::Rvp rvp(sim, 1);
+    dora::Action* a = ex->AcquireAction();
+    a->xct = &xct;
+    a->rvp = &rvp;
+    char key[16];
+    a->AddLockKey(FreshPairKey(i, key));
+    a->fn = [](dora::ActionContext&) -> sim::Task<Status> {
+      co_return Status::OK();
+    };
+    co_await ex->Dispatch(a);
+    Status st = co_await rvp.Wait();
+    BIONICDB_CHECK(st.ok());
+    co_await ex->ReleaseTxnLocks(&xct);
+  }
+  *steady_allocs = bench::AllocCount() - *steady_allocs;
+  co_await ex->Drain();  // CHECKs that every partition's tables are empty
+}
+
+// A lock table that forgets must not pay for it in allocations: each cycle
+// locks a key no earlier cycle locked, so every lock inserts a new entry
+// and every release erases it. Erased nodes are re-keyed from the
+// partition's free list, keys are fixed-width, and the held-lock list keeps
+// its capacity, so the cycle still allocates nothing.
+TEST(DispatchAllocTest, FreshKeyCycleIsAllocationFree) {
+  sim::Simulator sim;
+  hw::Platform platform(&sim, hw::PlatformSpec::CommodityServer());
+  hw::Breakdown bd;
+  dora::ExecutorConfig ec;
+  ec.num_partitions = 4;
+  dora::Executor ex(&platform, ec, nullptr, &bd);
+  ex.Start();
+  uint64_t steady_allocs = 0;
+  sim.Spawn(FreshKeyDispatchCycles(&sim, &ex, &steady_allocs));
+  sim.Run();
+  EXPECT_EQ(ex.stats().executed, kWarmup + kMeasured);
+  ExpectSteadyStateAllocFree(steady_allocs);
+}
+
+TEST(DispatchAllocTest, ThreadedFreshKeyCycleIsAllocationFree) {
+  sim::Simulator sim;
+  engine::EngineConfig cfg = engine::EngineConfig::Dora();
+  cfg.num_partitions = 4;
+  engine::Engine engine(&sim, cfg);
+  exec::ThreadedBackend backend(&engine, exec::ThreadedBackend::Config{});
+  backend.Start();
+
+  txn::Xct xct;
+  uint64_t steady = 0;
+  for (uint64_t i = 0; i < kWarmup + kMeasured; ++i) {
+    if (i == kWarmup) steady = bench::AllocCount();
+    xct.id = i + 1;
+    xct.priority = i + 1;
+    exec::ThreadedRvp rvp(1);
+    dora::Action* a = backend.AcquireAction();
+    a->xct = &xct;
+    a->trvp = &rvp;
+    char key[16];
+    a->AddLockKey(FreshPairKey(i, key));
+    a->fn = [](dora::ActionContext&) -> sim::Task<Status> {
+      co_return Status::OK();
+    };
+    backend.Dispatch(a);
+    Status st = rvp.Wait();
+    BIONICDB_CHECK(st.ok());
+    backend.ReleaseTxnLocks(&xct);
+  }
+  steady = bench::AllocCount() - steady;
+  EXPECT_EQ(backend.stats().actions_executed, kWarmup + kMeasured);
+  backend.Shutdown();  // CHECKs that every partition's tables are empty
+  ExpectSteadyStateAllocFree(steady);
 }
 
 TEST(DispatchAllocTest, EnabledTracerRecordsIntoRingAndIsDeterministic) {

@@ -22,6 +22,8 @@ using sim::Task;
 
 // ------------------------------------------------------------ LockManager --
 
+const LockKey kKey("k");
+
 TEST(LockManagerTest, SharedLocksCoexist) {
   Simulator sim;
   LockManager lm(&sim);
@@ -32,11 +34,11 @@ TEST(LockManagerTest, SharedLocksCoexist) {
   b.priority = 2;
   int granted = 0;
   sim.Spawn([](LockManager* lm, Xct* x, int* granted) -> Task<> {
-    EXPECT_TRUE((co_await lm->Acquire(x, "k", LockMode::kShared)).ok());
+    EXPECT_TRUE((co_await lm->Acquire(x, kKey, LockMode::kShared)).ok());
     ++*granted;
   }(&lm, &a, &granted));
   sim.Spawn([](LockManager* lm, Xct* x, int* granted) -> Task<> {
-    EXPECT_TRUE((co_await lm->Acquire(x, "k", LockMode::kShared)).ok());
+    EXPECT_TRUE((co_await lm->Acquire(x, kKey, LockMode::kShared)).ok());
     ++*granted;
   }(&lm, &b, &granted));
   sim.Run();
@@ -59,7 +61,7 @@ TEST(LockManagerTest, ExclusiveBlocksUntilRelease) {
   // Younger acquires X first; older waits (wait-die lets the old wait).
   sim.Spawn([](Simulator* s, LockManager* lm, Xct* young, Xct* old,
                SimTime* at) -> Task<> {
-    EXPECT_TRUE((co_await lm->Acquire(young, "k", LockMode::kExclusive)).ok());
+    EXPECT_TRUE((co_await lm->Acquire(young, kKey, LockMode::kExclusive)).ok());
     co_await Delay{s, 0};  // let the older transaction start waiting
     co_await Delay{s, 500};
     lm->ReleaseAll(young);
@@ -68,7 +70,7 @@ TEST(LockManagerTest, ExclusiveBlocksUntilRelease) {
   }(&sim, &lm, &younger, &older, &granted_at));
   sim.Spawn([](Simulator* s, LockManager* lm, Xct* old, SimTime* at) -> Task<> {
     co_await Delay{s, 1};  // ensure the younger one wins the race
-    EXPECT_TRUE((co_await lm->Acquire(old, "k", LockMode::kExclusive)).ok());
+    EXPECT_TRUE((co_await lm->Acquire(old, kKey, LockMode::kExclusive)).ok());
     *at = s->Now();
     lm->ReleaseAll(old);
   }(&sim, &lm, &older, &granted_at));
@@ -88,8 +90,8 @@ TEST(LockManagerTest, WaitDieAbortsYounger) {
   Status young_status;
   sim.Spawn([](Simulator* s, LockManager* lm, Xct* old, Xct* young,
                Status* out) -> Task<> {
-    EXPECT_TRUE((co_await lm->Acquire(old, "k", LockMode::kExclusive)).ok());
-    *out = co_await lm->Acquire(young, "k", LockMode::kExclusive);
+    EXPECT_TRUE((co_await lm->Acquire(old, kKey, LockMode::kExclusive)).ok());
+    *out = co_await lm->Acquire(young, kKey, LockMode::kExclusive);
     lm->ReleaseAll(old);
     (void)s;
   }(&sim, &lm, &older, &younger, &young_status));
@@ -105,12 +107,12 @@ TEST(LockManagerTest, ReentrantAndUpgrade) {
   x.id = 3;
   x.priority = 3;
   sim.Spawn([](LockManager* lm, Xct* x) -> Task<> {
-    EXPECT_TRUE((co_await lm->Acquire(x, "k", LockMode::kShared)).ok());
-    EXPECT_TRUE((co_await lm->Acquire(x, "k", LockMode::kShared)).ok());
+    EXPECT_TRUE((co_await lm->Acquire(x, kKey, LockMode::kShared)).ok());
+    EXPECT_TRUE((co_await lm->Acquire(x, kKey, LockMode::kShared)).ok());
     // Sole holder: upgrade succeeds.
-    EXPECT_TRUE((co_await lm->Acquire(x, "k", LockMode::kExclusive)).ok());
+    EXPECT_TRUE((co_await lm->Acquire(x, kKey, LockMode::kExclusive)).ok());
     // X implies S.
-    EXPECT_TRUE((co_await lm->Acquire(x, "k", LockMode::kShared)).ok());
+    EXPECT_TRUE((co_await lm->Acquire(x, kKey, LockMode::kShared)).ok());
   }(&lm, &x));
   sim.Run();
   lm.ReleaseAll(&x);
@@ -127,13 +129,13 @@ TEST(LockManagerTest, SharedThenExclusiveQueues) {
   writer.priority = 1;
   SimTime write_at = -1;
   sim.Spawn([](Simulator* s, LockManager* lm, Xct* r) -> Task<> {
-    EXPECT_TRUE((co_await lm->Acquire(r, "k", LockMode::kShared)).ok());
+    EXPECT_TRUE((co_await lm->Acquire(r, kKey, LockMode::kShared)).ok());
     co_await Delay{s, 300};
     lm->ReleaseAll(r);
   }(&sim, &lm, &reader));
   sim.Spawn([](Simulator* s, LockManager* lm, Xct* w, SimTime* at) -> Task<> {
     co_await Delay{s, 1};
-    EXPECT_TRUE((co_await lm->Acquire(w, "k", LockMode::kExclusive)).ok());
+    EXPECT_TRUE((co_await lm->Acquire(w, kKey, LockMode::kExclusive)).ok());
     *at = s->Now();
     lm->ReleaseAll(w);
   }(&sim, &lm, &writer, &write_at));

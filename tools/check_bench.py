@@ -17,6 +17,10 @@ gates come in two backend dimensions, selected with --backend:
               * Tail-attribution fields present and sane.
               * Event-queue speedup ratio (heap/calendar, both measured
                 in one process) within 15% of the baseline ratio.
+              * Allocation counts of the simulated rows, which repeat
+                exactly from run to run: the DORA dispatch cycle
+                allocates nothing, and a simulated TATP transaction at
+                most TATP_E2E_ALLOCS_CEILING times.
 
   threaded  Wall-clock gates on the real-thread backend rows
             (tatp_threaded_t{1,2,4,8}, tpcc_threaded_t8). Absolute
@@ -54,6 +58,10 @@ import json
 import sys
 
 SIM_TXN_PER_SEC_PIN = 2192905.5
+# bench/wallclock's tatp_e2e_dora allocs_per_op with fixed-width lock keys
+# (txn::LockKey); a higher count means an allocation came back onto the
+# simulated TATP path.
+TATP_E2E_ALLOCS_CEILING = 33.027
 TATP_THREAD_SWEEP = [1, 2, 4, 8]
 
 
@@ -126,6 +134,24 @@ def check_sim(wallclock, evq, baseline):
         )
     print(f"ok: event-queue TATP-trace speedup {ratio:.2f}x "
           f"(baseline {base_ratio:.2f}x, floor {floor:.2f}x)")
+
+    # 2b. Allocation gates. The counting operator-new hook sees the same
+    # calls on every run of a seeded simulation, so the counts are exact.
+    dispatch = wallclock["dispatch_cycle"]["allocs_per_op"]
+    if dispatch != 0:
+        fail(
+            f"dispatch_cycle allocates ({dispatch} per op); the DORA "
+            "dispatch -> lock -> execute -> release cycle must not"
+        )
+    print("ok: dispatch_cycle allocation-free")
+    tatp = e2e["allocs_per_op"]
+    if tatp > TATP_E2E_ALLOCS_CEILING:
+        fail(
+            f"tatp_e2e_dora allocates {tatp} times per transaction, above "
+            f"the ceiling of {TATP_E2E_ALLOCS_CEILING}"
+        )
+    print(f"ok: tatp_e2e_dora {tatp} allocations per transaction "
+          f"(ceiling {TATP_E2E_ALLOCS_CEILING})")
 
 
 def check_threaded(wallclock):
