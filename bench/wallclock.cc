@@ -7,6 +7,8 @@
 #define BIONICDB_ALLOC_HOOK_DEFINE
 #include "bench/alloc_hook.h"
 
+#include <malloc.h>
+
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -114,10 +116,14 @@ Metric BenchBtreeProbe(const char* name, bool wide, bool copy) {
   return m;
 }
 
+/// An ascending load, as every loader does. `bytes_per_entry` is the heap
+/// the tree holds afterwards (glibc's in-use bytes, chunk headers included)
+/// per row; it repeats exactly from run to run on one allocator.
 Metric BenchBtreeInsert() {
   const size_t kRows = 200000;
   const auto keys = MakeKeys(kRows, /*wide=*/true);
   const std::string value(96, 'v');
+  const size_t heap_before = mallinfo2().uordblks;
   index::BTree tree;
   Timer t;
   for (const auto& k : keys) {
@@ -125,6 +131,10 @@ Metric BenchBtreeInsert() {
   }
   Metric m = t.Stop("btree_insert_16", kRows);
   BIONICDB_CHECK(tree.size() == kRows);
+  const size_t heap_after = mallinfo2().uordblks;
+  m.extras.emplace_back("bytes_per_entry",
+                        static_cast<double>(heap_after - heap_before) /
+                            static_cast<double>(kRows));
   return m;
 }
 

@@ -709,17 +709,19 @@ sim::Task<Result<Slice>> Engine::ReadOverlayView(ExecContext& ctx,
     }
     auto rid = table->LookupRid(key);
     if (!rid.ok()) co_return rid.status();  // genuinely absent
-    storage::Page page;
+    // On the heap, and on this leg only: a local Page would put 8 KiB in
+    // the coroutine frame of every overlay read, hits included.
+    auto page = std::make_unique<storage::Page>();
     if (threaded_) {
       // No timed device read: copy the page the read would return.
       auto base = co_await FetchPage(rid->page_id);
       if (!base.ok()) co_return base.status();
-      page = **base;
+      *page = **base;
     } else {
-      Status io = co_await data_disk_->ReadPage(rid->page_id, &page);
+      Status io = co_await data_disk_->ReadPage(rid->page_id, page.get());
       if (!io.ok()) co_return io;
     }
-    auto rec = page.Get(rid->slot);
+    auto rec = page->Get(rid->slot);
     if (!rec.ok()) co_return rec.status();
     ov->InstallClean(key, *rec);
     // Retry the (now resident) probe.
@@ -956,7 +958,7 @@ Engine::RangeRead(ExecContext& ctx, Table* table, Slice lo, Slice hi,
     const index::BTree& ov = table->overlay()->index();
     for (auto it = ov.SeekRange(lo, hi); it.Valid(); it.Next()) {
       Slice tagged = it.value();
-      if (tagged[0] == 'D') {
+      if (tagged[0] == Overlay::kTombstone) {
         merged.erase(it.key().ToString());
       } else {
         Slice rec(tagged.data() + 1, tagged.size() - 1);

@@ -1,6 +1,5 @@
 #include "engine/overlay.h"
 
-#include <algorithm>
 #include <atomic>
 
 namespace bionicdb::engine {
@@ -36,28 +35,32 @@ Result<Slice> Overlay::GetTracedView(Slice key, int* node_visits) const {
                                                    std::memory_order_relaxed);
   Slice tagged = *r;
   BIONICDB_DCHECK(!tagged.empty());
-  if (tagged[0] == 'D') {
+  if (tagged[0] == kTombstone) {
     return Status::NotFound("deleted (overlay tombstone)");
   }
   tagged.RemovePrefix(1);
   return tagged;
 }
 
-void Overlay::Put(Slice key, Slice record) {
-  BIONICDB_CHECK(index_.Insert(key, Tag('L', record), /*overwrite=*/true).ok());
-  dirty_.insert(key.ToString());
-}
-
-void Overlay::Delete(Slice key) {
-  BIONICDB_CHECK(index_.Insert(key, Tag('D', Slice()), /*overwrite=*/true).ok());
-  dirty_.insert(key.ToString());
+void Overlay::WriteDirty(Slice key, const std::string& tagged) {
+  if (!IsDirtyTag(index_.Upsert(key, tagged))) ++dirty_count_;
 }
 
 void Overlay::InstallClean(Slice key, Slice record) {
-  BIONICDB_CHECK(index_.Insert(key, Tag('L', record), /*overwrite=*/true).ok());
+  if (IsDirtyTag(index_.Upsert(key, Tag(kClean, record)))) {
+    BIONICDB_CHECK(index_.Update(key, Tag(kDirty, record)).ok());
+  }
   ++stats_.installs;
+  if (capacity_ == 0) return;
   clean_fifo_.push_back(key.ToString());
   EnforceCapacity();
+}
+
+void Overlay::RemoveEntry(Slice key) {
+  auto tagged = index_.Peek(key);
+  if (!tagged.ok()) return;
+  if (IsDirtyTag((*tagged)[0])) --dirty_count_;
+  BIONICDB_CHECK(index_.Delete(key).ok());
 }
 
 void Overlay::EnforceCapacity() {
@@ -65,13 +68,15 @@ void Overlay::EnforceCapacity() {
   while (index_.size() > capacity_ && !clean_fifo_.empty()) {
     const std::string victim = std::move(clean_fifo_.front());
     clean_fifo_.pop_front();
-    if (dirty_.count(victim)) continue;        // pinned until merge
-    if (index_.Delete(victim).ok()) ++clean_evictions_;
+    auto tagged = index_.Peek(victim);
+    if (!tagged.ok() || IsDirtyTag((*tagged)[0])) continue;  // pinned
+    BIONICDB_CHECK(index_.Delete(victim).ok());
+    ++clean_evictions_;
   }
 }
 
 Status Overlay::EvictClean(Slice key) {
-  if (dirty_.count(key.ToString())) {
+  if (IsDirty(key)) {
     return Status::Busy("entry is dirty; merge before evicting");
   }
   return index_.Delete(key);
@@ -80,16 +85,15 @@ Status Overlay::EvictClean(Slice key) {
 std::vector<std::pair<std::string, std::optional<std::string>>>
 Overlay::TakeDirty() {
   auto out = DirtySnapshot();
-  // Tombstones leave the overlay entirely after the merge; live rows stay
-  // as clean cached entries (now evictable).
   for (auto& [key, rec] : out) {
     if (!rec.has_value()) {
       BIONICDB_CHECK(index_.Delete(key).ok());
     } else {
-      clean_fifo_.push_back(key);
+      BIONICDB_CHECK(index_.Update(key, Tag(kClean, *rec)).ok());
+      if (capacity_ > 0) clean_fifo_.push_back(key);
     }
   }
-  dirty_.clear();
+  dirty_count_ = 0;
   EnforceCapacity();
   ++stats_.merges;
   stats_.merged_rows += out.size();
@@ -99,19 +103,17 @@ Overlay::TakeDirty() {
 std::vector<std::pair<std::string, std::optional<std::string>>>
 Overlay::DirtySnapshot() const {
   std::vector<std::pair<std::string, std::optional<std::string>>> out;
-  out.reserve(dirty_.size());
-  for (const std::string& key : dirty_) {
-    auto r = index_.Get(key);
-    BIONICDB_CHECK(r.ok());  // dirty entries are always present
-    const std::string& tagged = *r;
-    if (tagged[0] == 'D') {
-      out.emplace_back(key, std::nullopt);
-    } else {
-      out.emplace_back(key, tagged.substr(1));
+  out.reserve(dirty_count_);
+  for (auto it = index_.Begin(); out.size() < dirty_count_ && it.Valid();
+       it.Next()) {
+    const Slice tagged = it.value();
+    if (tagged[0] == kTombstone) {
+      out.emplace_back(it.key().ToString(), std::nullopt);
+    } else if (tagged[0] == kDirty) {
+      out.emplace_back(it.key().ToString(),
+                       std::string(tagged.data() + 1, tagged.size() - 1));
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 

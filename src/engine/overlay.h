@@ -9,13 +9,20 @@
 // records plus tombstones for deletes. It tracks dirtiness per key so bulk
 // merge ships only changed rows, and exposes the delta needed to patch
 // historical data requested by queries (the SAP HANA-style read path).
+//
+// Entry state lives in the first byte of each index value, so the overlay
+// keeps no per-key bookkeeping beside the index:
+//  * kClean ('L') — a cached copy of base data, evictable;
+//  * kDirty ('W') — a buffered insert or update, pinned until the merge;
+//  * kTombstone ('D') — a buffered delete; always dirty, and dropped from
+//    the overlay by the merge.
+// The merge delta is read by walking the index in key order.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -42,6 +49,11 @@ struct OverlayStats {
 /// probe and refetch from base data.
 class Overlay {
  public:
+  /// Entry states: the tag byte in front of every overlay value.
+  static constexpr char kClean = 'L';
+  static constexpr char kDirty = 'W';
+  static constexpr char kTombstone = 'D';
+
   explicit Overlay(const index::BTreeConfig& config,
                    size_t capacity_entries = 0)
       : index_(config), capacity_(capacity_entries) {}
@@ -58,33 +70,34 @@ class Overlay {
   Result<std::string> GetTraced(Slice key, int* node_visits) const;
 
   /// Zero-copy read through the overlay (same outcomes as Get). The view
-  /// aliases the overlay index's value arena, minus the tag byte, and is
+  /// aliases the overlay index's leaf arena, minus the tag byte, and is
   /// invalidated by the next overlay write — copy before suspending.
   Result<Slice> GetView(Slice key) const;
   Result<Slice> GetTracedView(Slice key, int* node_visits) const;
 
   /// Buffers a write (insert or update). Marks the key dirty.
-  void Put(Slice key, Slice record);
+  void Put(Slice key, Slice record) { WriteDirty(key, Tag(kDirty, record)); }
 
   /// Buffers a delete (tombstone). Marks the key dirty.
-  void Delete(Slice key);
+  void Delete(Slice key) { WriteDirty(key, Tag(kTombstone, Slice())); }
 
-  /// Caches a clean record fetched from base data (read caching).
+  /// Caches a clean record fetched from base data (read caching). A dirty
+  /// entry stays dirty, now holding `record`.
   void InstallClean(Slice key, Slice record);
 
   /// Drops a clean entry (overlay space management). Dirty entries cannot
   /// be evicted before a merge.
   Status EvictClean(Slice key);
 
-  /// Physically removes an entry and its dirty flag (rollback of an
+  /// Physically removes an entry, dirty or not (rollback of an
   /// overlay-only insert). No-op if absent.
-  void RemoveEntry(Slice key) {
-    (void)index_.Delete(key);
-    dirty_.erase(key.ToString());
-  }
+  void RemoveEntry(Slice key);
 
-  bool IsDirty(const std::string& key) const { return dirty_.count(key) > 0; }
-  size_t dirty_count() const { return dirty_.size(); }
+  bool IsDirty(Slice key) const {
+    auto tagged = index_.Peek(key);
+    return tagged.ok() && IsDirtyTag((*tagged)[0]);
+  }
+  size_t dirty_count() const { return dirty_count_; }
   size_t entries() const { return index_.size(); }
   int index_height() const { return index_.height(); }
   const index::BTree& index() const { return index_; }
@@ -94,7 +107,8 @@ class Overlay {
   uint64_t clean_evictions() const { return clean_evictions_; }
 
   /// The write-back delta: sorted (key, record-or-tombstone) pairs; clears
-  /// dirtiness. nullopt record == delete.
+  /// dirtiness. nullopt record == delete. Tombstones leave the overlay;
+  /// written rows stay as clean cached entries.
   std::vector<std::pair<std::string, std::optional<std::string>>> TakeDirty();
 
   /// The patch set a query must apply over base data (dirty entries only,
@@ -103,21 +117,25 @@ class Overlay {
   DirtySnapshot() const;
 
  private:
-  // Overlay values carry a 1-byte tag: 'L' live, 'D' tombstone.
   static std::string Tag(char tag, Slice record) {
     std::string v(1, tag);
     v.append(record.data(), record.size());
     return v;
   }
+  /// `tag` is a tag byte, or Upsert's -1 for a key that was absent.
+  static bool IsDirtyTag(int tag) { return tag == kDirty || tag == kTombstone; }
+
+  /// Stores a dirty-tagged value, counting the key if it was not dirty.
+  void WriteDirty(Slice key, const std::string& tagged);
 
   /// Evicts clean entries until under capacity. Dirty entries are skipped.
   void EnforceCapacity();
 
   index::BTree index_;
-  std::unordered_set<std::string> dirty_;
+  size_t dirty_count_ = 0;
   size_t capacity_;
   /// Approximate-FIFO eviction candidates (may contain stale keys; checked
-  /// against the index and dirty set at eviction time).
+  /// against the index at eviction time). Kept only when capacity_ > 0.
   std::deque<std::string> clean_fifo_;
   uint64_t clean_evictions_ = 0;
   mutable OverlayStats stats_;

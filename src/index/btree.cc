@@ -12,13 +12,16 @@ namespace {
 /// enough for the copy to pay off.
 constexpr size_t kCompactMinBytes = 1024;
 
+/// Largest key or value a slot can describe.
+constexpr size_t kMaxEntryBytes = UINT16_MAX;
+
 }  // namespace
 
 /// First eight key bytes as a big-endian word, zero-padded. Byte order on
 /// these words never contradicts lexicographic byte order (zero padding can
 /// only tie against real bytes, never exceed them), so binary search can
-/// resolve most comparisons from the reference array alone and only touch
-/// the key arena on prefix ties.
+/// resolve most comparisons from the slot array alone and only touch the
+/// arena on prefix ties.
 inline uint64_t KeyPrefix(Slice key) {
   unsigned char buf[8] = {0, 0, 0, 0, 0, 0, 0, 0};
   std::memcpy(buf, key.data(), key.size() < 8 ? key.size() : 8);
@@ -27,162 +30,223 @@ inline uint64_t KeyPrefix(Slice key) {
   return __builtin_bswap64(le);
 }
 
-/// A key reference: arena location plus the cached search prefix.
-struct BTreeKeyRef {
+/// One entry of a node: where its bytes sit in the arena (key, then
+/// value), their lengths, and the cached search prefix.
+struct BTreeSlot {
   uint32_t off;
-  uint32_t len;
+  uint16_t klen;
+  uint16_t vlen;
   uint64_t prefix;
-};
 
-/// A value reference into a leaf's value arena.
-struct BTreeValRef {
-  uint32_t off;
-  uint32_t len;
+  size_t bytes() const { return size_t{klen} + vlen; }
 };
+static_assert(sizeof(BTreeSlot) == 16);
 
 struct BTree::Node {
   bool leaf;
-  /// Key bytes; may contain dead gaps from deletes/splits.
-  std::vector<char> karena;
-  /// Sorted key references into `karena`.
-  std::vector<BTreeKeyRef> keys;
-  uint32_t kdead = 0;
+  /// Sorted entry slots.
+  std::vector<BTreeSlot> slots;
+  /// Entry bytes, key then value; may contain dead gaps from deletes and
+  /// overwrites. arena.size() == live bytes + dead.
+  std::vector<char> arena;
+  uint32_t dead = 0;
 
   explicit Node(bool is_leaf) : leaf(is_leaf) {}
 
-  size_t NumKeys() const { return keys.size(); }
+  size_t NumKeys() const { return slots.size(); }
 
   Slice KeyAt(size_t i) const {
-    const BTreeKeyRef& r = keys[i];
-    return Slice(karena.data() + r.off, r.len);
+    const BTreeSlot& s = slots[i];
+    return Slice(arena.data() + s.off, s.klen);
   }
 
-  /// Appends key bytes and inserts the reference at sorted position `pos`.
-  void InsertKey(size_t pos, Slice key) {
-    const uint32_t off = static_cast<uint32_t>(karena.size());
-    karena.insert(karena.end(), key.data(), key.data() + key.size());
-    keys.insert(
-        keys.begin() + static_cast<long>(pos),
-        BTreeKeyRef{off, static_cast<uint32_t>(key.size()), KeyPrefix(key)});
+  Slice ValueAt(size_t i) const {
+    const BTreeSlot& s = slots[i];
+    return Slice(arena.data() + s.off + s.klen, s.vlen);
   }
 
-  /// Appends a key at the end (bulk-build path; keys must arrive sorted).
-  void AppendKey(Slice key) { InsertKey(keys.size(), key); }
-
-  void EraseKey(size_t pos) {
-    kdead += keys[pos].len;
-    keys.erase(keys.begin() + static_cast<long>(pos));
+  /// Grows the arena by `n` bytes (one geometric reallocation at most) and
+  /// returns the offset of the new bytes.
+  uint32_t Extend(size_t n) {
+    const size_t off = arena.size();
+    BIONICDB_CHECK(off + n <= UINT32_MAX);
+    arena.resize(off + n);
+    return static_cast<uint32_t>(off);
   }
 
-  /// Rewrites the arena with only live bytes. Invalidates key views.
-  void CompactKeys() {
-    std::vector<char> fresh;
-    size_t live = 0;
-    for (const BTreeKeyRef& r : keys) live += r.len;
-    fresh.reserve(live);
-    for (BTreeKeyRef& r : keys) {
-      const uint32_t off = static_cast<uint32_t>(fresh.size());
-      fresh.insert(fresh.end(), karena.data() + r.off,
-                   karena.data() + r.off + r.len);
-      r.off = off;
+  /// Appends the entry's bytes and inserts its slot at sorted position
+  /// `pos`.
+  void InsertEntry(size_t pos, Slice key, Slice value) {
+    BIONICDB_CHECK(key.size() <= kMaxEntryBytes);
+    BIONICDB_CHECK(value.size() <= kMaxEntryBytes);
+    const uint32_t off = Extend(key.size() + value.size());
+    std::memcpy(arena.data() + off, key.data(), key.size());
+    std::memcpy(arena.data() + off + key.size(), value.data(), value.size());
+    slots.insert(slots.begin() + static_cast<long>(pos),
+                 BTreeSlot{off, static_cast<uint16_t>(key.size()),
+                           static_cast<uint16_t>(value.size()),
+                           KeyPrefix(key)});
+  }
+
+  /// Appends an entry at the end (bulk-build path; keys arrive sorted).
+  void AppendEntry(Slice key, Slice value) {
+    InsertEntry(slots.size(), key, value);
+  }
+
+  /// Overwrites the value at `pos`: in place when the new value fits in the
+  /// old one's bytes, otherwise the entry is re-appended at the arena end
+  /// (the old bytes become dead).
+  void SetValue(size_t pos, Slice value) {
+    BIONICDB_CHECK(value.size() <= kMaxEntryBytes);
+    BTreeSlot& s = slots[pos];
+    const auto vlen = static_cast<uint16_t>(value.size());
+    if (vlen <= s.vlen) {
+      std::memmove(arena.data() + s.off + s.klen, value.data(), vlen);
+      dead += s.vlen - vlen;
+      s.vlen = vlen;
+      return;
     }
-    karena = std::move(fresh);
-    kdead = 0;
+    const uint32_t off = Extend(s.klen + value.size());
+    std::memcpy(arena.data() + off, arena.data() + s.off, s.klen);
+    std::memcpy(arena.data() + off + s.klen, value.data(), vlen);
+    dead += static_cast<uint32_t>(s.bytes());
+    s.off = off;
+    s.vlen = vlen;
   }
 
-  void MaybeCompactKeys() {
-    if (kdead > karena.size() / 2 && karena.size() >= kCompactMinBytes) {
-      CompactKeys();
+  void EraseEntry(size_t pos) {
+    dead += static_cast<uint32_t>(slots[pos].bytes());
+    slots.erase(slots.begin() + static_cast<long>(pos));
+  }
+
+  /// Rewrites the arena with only live bytes, in exact-size storage.
+  /// Invalidates views.
+  void Compact() {
+    std::vector<char> fresh(arena.size() - dead);
+    size_t w = 0;
+    for (BTreeSlot& s : slots) {
+      std::memcpy(fresh.data() + w, arena.data() + s.off, s.bytes());
+      s.off = static_cast<uint32_t>(w);
+      w += s.bytes();
+    }
+    arena = std::move(fresh);
+    dead = 0;
+  }
+
+  void MaybeCompact() {
+    if (dead > arena.size() / 2 && arena.size() >= kCompactMinBytes) {
+      Compact();
+    }
+  }
+
+  /// Slides the live bytes to the front of the arena, keeping its
+  /// capacity. Entries move in ascending offset order, so no move
+  /// overwrites bytes that have yet to move; slots are re-sorted by offset
+  /// for the moves (and back by key) only when the two orders differ.
+  void CompactInPlace() {
+    const auto by_off = [](const BTreeSlot& a, const BTreeSlot& b) {
+      return a.off < b.off;
+    };
+    const bool key_order_is_offset_order =
+        std::is_sorted(slots.begin(), slots.end(), by_off);
+    if (!key_order_is_offset_order) {
+      std::sort(slots.begin(), slots.end(), by_off);
+    }
+    size_t w = 0;
+    for (BTreeSlot& s : slots) {
+      if (s.off != w) {
+        std::memmove(arena.data() + w, arena.data() + s.off, s.bytes());
+      }
+      s.off = static_cast<uint32_t>(w);
+      w += s.bytes();
+    }
+    arena.resize(w);
+    dead = 0;
+    if (!key_order_is_offset_order) {
+      const char* base = arena.data();
+      std::sort(slots.begin(), slots.end(),
+                [base](const BTreeSlot& a, const BTreeSlot& b) {
+                  if (a.prefix != b.prefix) return a.prefix < b.prefix;
+                  return Slice(base + a.off, a.klen) <
+                         Slice(base + b.off, b.klen);
+                });
+    }
+  }
+
+  /// Copies entries [from, to) of `src` into this empty node, in
+  /// exact-size storage.
+  void CopyEntriesExact(const Node& src, size_t from, size_t to) {
+    size_t bytes = 0;
+    for (size_t i = from; i < to; ++i) bytes += src.slots[i].bytes();
+    slots.reserve(to - from);
+    arena.reserve(bytes);
+    for (size_t i = from; i < to; ++i) {
+      const BTreeSlot& s = src.slots[i];
+      const uint32_t off = Extend(s.bytes());
+      std::memcpy(arena.data() + off, src.arena.data() + s.off, s.bytes());
+      slots.push_back(BTreeSlot{off, s.klen, s.vlen, s.prefix});
+    }
+  }
+
+  /// Keeps only entries [from, to), in this node's own (grown) storage.
+  void KeepEntries(size_t from, size_t to) {
+    slots.erase(slots.begin() + static_cast<long>(to), slots.end());
+    slots.erase(slots.begin(), slots.begin() + static_cast<long>(from));
+    CompactInPlace();
+  }
+
+  /// Splits this node's entries with the empty node `right`: [0, left_end)
+  /// stay here, [right_begin, n) move right (inner splits skip the
+  /// separator between them). The half that took the new entry keeps the
+  /// grown storage; the other half moves into exact-size storage.
+  void SplitEntries(Node* right, size_t left_end, size_t right_begin,
+                    bool right_took_new) {
+    const size_t n = NumKeys();
+    if (right_took_new) {
+      std::swap(slots, right->slots);
+      std::swap(arena, right->arena);
+      std::swap(dead, right->dead);
+      CopyEntriesExact(*right, 0, left_end);
+      right->KeepEntries(right_begin, n);
+    } else {
+      right->CopyEntriesExact(*this, right_begin, n);
+      KeepEntries(0, left_end);
     }
   }
 };
 
 struct BTree::Inner : BTree::Node {
-  // children.size() == keys.size() + 1; child[i] holds keys < keys[i],
-  // child[i+1] holds keys >= keys[i].
+  // children.size() == slots.size() + 1; child[i] holds keys < key[i],
+  // child[i+1] holds keys >= key[i].
   std::vector<Node*> children;
   Inner() : Node(false) {}
 };
 
 struct BTree::Leaf : BTree::Node {
-  /// Value bytes; may contain dead gaps from overwrites/deletes.
-  std::vector<char> varena;
-  /// Value references, parallel to `keys`.
-  std::vector<BTreeValRef> vals;
-  uint32_t vdead = 0;
   Leaf* next = nullptr;
   Leaf() : Node(true) {}
 
-  Slice ValueAt(size_t i) const {
-    const BTreeValRef& r = vals[i];
-    return Slice(varena.data() + r.off, r.len);
-  }
-
-  void InsertValue(size_t pos, Slice value) {
-    const uint32_t off = static_cast<uint32_t>(varena.size());
-    varena.insert(varena.end(), value.data(), value.data() + value.size());
-    vals.insert(vals.begin() + static_cast<long>(pos),
-                BTreeValRef{off, static_cast<uint32_t>(value.size())});
-  }
-
-  void AppendValue(Slice value) { InsertValue(vals.size(), value); }
-
-  /// Overwrites the value at `pos`: in place when the new value fits in the
-  /// old slot, otherwise appended to the arena (old bytes become dead).
-  void SetValue(size_t pos, Slice value) {
-    BTreeValRef& r = vals[pos];
-    if (value.size() <= r.len) {
-      std::memcpy(varena.data() + r.off, value.data(), value.size());
-      vdead += r.len - static_cast<uint32_t>(value.size());
-      r.len = static_cast<uint32_t>(value.size());
-      return;
-    }
-    vdead += r.len;
-    r.off = static_cast<uint32_t>(varena.size());
-    r.len = static_cast<uint32_t>(value.size());
-    varena.insert(varena.end(), value.data(), value.data() + value.size());
-  }
-
-  void EraseValue(size_t pos) {
-    vdead += vals[pos].len;
-    vals.erase(vals.begin() + static_cast<long>(pos));
-  }
-
-  void CompactValues() {
-    std::vector<char> fresh;
-    size_t live = 0;
-    for (const BTreeValRef& r : vals) live += r.len;
-    fresh.reserve(live);
-    for (BTreeValRef& r : vals) {
-      const uint32_t off = static_cast<uint32_t>(fresh.size());
-      fresh.insert(fresh.end(), varena.data() + r.off,
-                   varena.data() + r.off + r.len);
-      r.off = off;
-    }
-    varena = std::move(fresh);
-    vdead = 0;
-  }
-
-  void MaybeCompactValues() {
-    if (vdead > varena.size() / 2 && varena.size() >= kCompactMinBytes) {
-      CompactValues();
-    }
+  /// The value stored under `key` in this leaf.
+  Result<Slice> Find(Slice key) const {
+    const size_t pos = LowerBound(*this, key);
+    if (pos < NumKeys() && KeyAt(pos) == key) return ValueAt(pos);
+    return Status::NotFound("key not in index");
   }
 };
 
 /// Index of the child covering `key` in an inner node: first separator
 /// greater than key.
 size_t BTree::ChildIndex(const Node& node, Slice key) {
-  const char* base = node.karena.data();
-  const BTreeKeyRef* refs = node.keys.data();
+  const char* base = node.arena.data();
+  const BTreeSlot* slots = node.slots.data();
   const uint64_t kp = KeyPrefix(key);
-  size_t lo = 0, hi = node.keys.size();
+  size_t lo = 0, hi = node.slots.size();
   while (lo < hi) {
     const size_t mid = (lo + hi) / 2;
-    const BTreeKeyRef& r = refs[mid];
+    const BTreeSlot& r = slots[mid];
     const int c = (r.prefix != kp)
                       ? (r.prefix < kp ? -1 : 1)
-                      : Slice(base + r.off, r.len).Compare(key);
+                      : Slice(base + r.off, r.klen).Compare(key);
     if (c <= 0) {
       lo = mid + 1;
     } else {
@@ -194,16 +258,16 @@ size_t BTree::ChildIndex(const Node& node, Slice key) {
 
 /// Index of the first key >= `key` in a node.
 size_t BTree::LowerBound(const Node& node, Slice key) {
-  const char* base = node.karena.data();
-  const BTreeKeyRef* refs = node.keys.data();
+  const char* base = node.arena.data();
+  const BTreeSlot* slots = node.slots.data();
   const uint64_t kp = KeyPrefix(key);
-  size_t lo = 0, hi = node.keys.size();
+  size_t lo = 0, hi = node.slots.size();
   while (lo < hi) {
     const size_t mid = (lo + hi) / 2;
-    const BTreeKeyRef& r = refs[mid];
+    const BTreeSlot& r = slots[mid];
     const int c = (r.prefix != kp)
                       ? (r.prefix < kp ? -1 : 1)
-                      : Slice(base + r.off, r.len).Compare(key);
+                      : Slice(base + r.off, r.klen).Compare(key);
     if (c < 0) {
       lo = mid + 1;
     } else {
@@ -251,12 +315,22 @@ BTree::Leaf* BTree::FindLeaf(Slice key, int* node_visits) const {
 }
 
 Status BTree::Insert(Slice key, Slice value, bool overwrite) {
+  return InsertImpl(key, value, overwrite, nullptr);
+}
+
+int BTree::Upsert(Slice key, Slice value) {
+  int prev = -1;
+  BIONICDB_CHECK(InsertImpl(key, value, /*overwrite=*/true, &prev).ok());
+  return prev;
+}
+
+Status BTree::InsertImpl(Slice key, Slice value, bool overwrite, int* prev) {
   Status st = Status::OK();
-  SplitResult split = InsertRec(root_, key, value, overwrite, &st);
+  SplitResult split = InsertRec(root_, key, value, overwrite, prev, &st);
   if (!st.ok()) return st;
   if (split.split) {
     Inner* new_root = new Inner();
-    new_root->AppendKey(split.separator);
+    new_root->AppendEntry(split.separator, Slice());
     new_root->children.push_back(root_);
     new_root->children.push_back(split.right);
     root_ = new_root;
@@ -266,7 +340,7 @@ Status BTree::Insert(Slice key, Slice value, bool overwrite) {
 }
 
 BTree::SplitResult BTree::InsertRec(Node* node, Slice key, Slice value,
-                                    bool overwrite, Status* st) {
+                                    bool overwrite, int* prev, Status* st) {
   if (node->leaf) {
     Leaf* leaf = static_cast<Leaf*>(node);
     const size_t pos = LowerBound(*leaf, key);
@@ -275,33 +349,24 @@ BTree::SplitResult BTree::InsertRec(Node* node, Slice key, Slice value,
         *st = Status::AlreadyExists("duplicate key");
         return {};
       }
+      if (prev != nullptr) {
+        const Slice old = leaf->ValueAt(pos);
+        *prev = old.empty() ? -1 : static_cast<unsigned char>(old[0]);
+      }
       leaf->SetValue(pos, value);
-      leaf->MaybeCompactValues();
+      leaf->MaybeCompact();
       return {};
     }
-    leaf->InsertKey(pos, key);
-    leaf->InsertValue(pos, value);
+    leaf->InsertEntry(pos, key, value);
     ++size_;
     ++stats_.inserts;
     if (leaf->NumKeys() <= static_cast<size_t>(config_.leaf_capacity)) {
       return {};
     }
-    // Split the leaf: upper half moves to a new right sibling (compact by
-    // construction); the left half's arenas are compacted to drop the
-    // moved bytes.
+    // Split the leaf: the upper half moves to a new right sibling.
     Leaf* right = new Leaf();
-    const size_t n = leaf->NumKeys();
-    const size_t mid = n / 2;
-    right->keys.reserve(n - mid);
-    right->vals.reserve(n - mid);
-    for (size_t i = mid; i < n; ++i) {
-      right->AppendKey(leaf->KeyAt(i));
-      right->AppendValue(leaf->ValueAt(i));
-    }
-    leaf->keys.resize(mid);
-    leaf->vals.resize(mid);
-    leaf->CompactKeys();
-    leaf->CompactValues();
+    const size_t mid = leaf->NumKeys() / 2;
+    leaf->SplitEntries(right, mid, mid, /*right_took_new=*/pos >= mid);
     right->next = leaf->next;
     leaf->next = right;
     ++stats_.splits;
@@ -315,29 +380,37 @@ BTree::SplitResult BTree::InsertRec(Node* node, Slice key, Slice value,
   Inner* inner = static_cast<Inner*>(node);
   const size_t ci = ChildIndex(*inner, key);
   SplitResult child_split =
-      InsertRec(inner->children[ci], key, value, overwrite, st);
+      InsertRec(inner->children[ci], key, value, overwrite, prev, st);
   if (!st->ok() || !child_split.split) return {};
 
-  inner->InsertKey(ci, child_split.separator);
+  inner->InsertEntry(ci, child_split.separator, Slice());
   inner->children.insert(inner->children.begin() + static_cast<long>(ci) + 1,
                          child_split.right);
   if (inner->children.size() <= static_cast<size_t>(config_.inner_fanout)) {
     return {};
   }
-  // Split the inner node: middle separator moves up.
+  // Split the inner node: the middle separator moves up. The new child sits
+  // at ci + 1, so the right half took it when ci + 1 > mid.
   Inner* right = new Inner();
-  const size_t mid = inner->NumKeys() / 2;
+  const size_t n = inner->NumKeys();
+  const size_t mid = n / 2;
   SplitResult out;
   out.split = true;
   out.separator = inner->KeyAt(mid).ToString();
-  const size_t n = inner->NumKeys();
-  right->keys.reserve(n - mid - 1);
-  for (size_t i = mid + 1; i < n; ++i) right->AppendKey(inner->KeyAt(i));
-  right->children.assign(inner->children.begin() + static_cast<long>(mid) + 1,
-                         inner->children.end());
-  inner->keys.resize(mid);
-  inner->children.resize(mid + 1);
-  inner->CompactKeys();
+  const bool right_took_new = ci >= mid;
+  inner->SplitEntries(right, mid, mid + 1, right_took_new);
+  const long left_children = static_cast<long>(mid) + 1;
+  if (right_took_new) {
+    std::swap(inner->children, right->children);
+    inner->children.assign(right->children.begin(),
+                           right->children.begin() + left_children);
+    right->children.erase(right->children.begin(),
+                          right->children.begin() + left_children);
+  } else {
+    right->children.assign(inner->children.begin() + left_children,
+                           inner->children.end());
+    inner->children.resize(mid + 1);
+  }
   ++stats_.splits;
   out.right = right;
   return out;
@@ -371,20 +444,19 @@ Result<Slice> BTree::GetTracedView(Slice key, int* node_visits) const {
   std::atomic_ref<uint64_t>(stats_.node_visits)
       .fetch_add(static_cast<uint64_t>(*node_visits),
                  std::memory_order_relaxed);
-  const size_t pos = LowerBound(*leaf, key);
-  if (pos < leaf->NumKeys() && leaf->KeyAt(pos) == key) {
-    return leaf->ValueAt(pos);
-  }
-  return Status::NotFound("key not in index");
+  return leaf->Find(key);
+}
+
+Result<Slice> BTree::Peek(Slice key) const {
+  return FindLeaf(key, nullptr)->Find(key);
 }
 
 Status BTree::Update(Slice key, Slice value) {
-  int visits = 0;
-  Leaf* leaf = FindLeaf(key, &visits);
+  Leaf* leaf = FindLeaf(key, nullptr);
   const size_t pos = LowerBound(*leaf, key);
   if (pos < leaf->NumKeys() && leaf->KeyAt(pos) == key) {
     leaf->SetValue(pos, value);
-    leaf->MaybeCompactValues();
+    leaf->MaybeCompact();
     return Status::OK();
   }
   return Status::NotFound("key not in index");
@@ -412,10 +484,8 @@ Status BTree::DeleteRec(Node* node, Slice key, bool* empty) {
     if (pos >= leaf->NumKeys() || leaf->KeyAt(pos) != key) {
       return Status::NotFound("key not in index");
     }
-    leaf->EraseKey(pos);
-    leaf->EraseValue(pos);
-    leaf->MaybeCompactKeys();
-    leaf->MaybeCompactValues();
+    leaf->EraseEntry(pos);
+    leaf->MaybeCompact();
     --size_;
     ++stats_.deletes;
     *empty = leaf->NumKeys() == 0;
@@ -442,12 +512,8 @@ Status BTree::DeleteRec(Node* node, Slice key, bool* empty) {
     }
     FreeNode(victim);
     inner->children.erase(inner->children.begin() + static_cast<long>(ci));
-    if (ci < inner->NumKeys()) {
-      inner->EraseKey(ci);
-    } else {
-      inner->EraseKey(inner->NumKeys() - 1);
-    }
-    inner->MaybeCompactKeys();
+    inner->EraseEntry(ci < inner->NumKeys() ? ci : inner->NumKeys() - 1);
+    inner->MaybeCompact();
   }
   *empty = inner->children.empty();
   return Status::OK();
@@ -458,7 +524,9 @@ BTree::Iterator BTree::Seek(Slice start) const {
   int visits = 0;
   Leaf* leaf = FindLeaf(start, &visits);
   size_t pos = LowerBound(*leaf, start);
-  if (pos >= leaf->NumKeys()) {
+  // Deletes can leave runs of empty leaves (a lone child is never
+  // unlinked), so step past every exhausted leaf, not just this one.
+  while (leaf != nullptr && pos >= leaf->NumKeys()) {
     leaf = leaf->next;
     pos = 0;
   }
@@ -479,12 +547,9 @@ BTree::Iterator BTree::SeekRange(Slice start, Slice end) const {
 BTree::Iterator BTree::Begin() const {
   Iterator it;
   Leaf* leaf = LeftmostLeafFor(root_);
-  if (leaf->NumKeys() == 0) {
-    // An empty tree has one empty leaf; treat as end.
-    it.node_ = leaf->next;  // nullptr unless structure is odd
-  } else {
-    it.node_ = leaf;
-  }
+  // Skip empty leaves (an empty tree is one empty leaf: end).
+  while (leaf != nullptr && leaf->NumKeys() == 0) leaf = leaf->next;
+  it.node_ = leaf;
   it.idx_ = 0;
   return it;
 }
@@ -538,9 +603,14 @@ Status BTree::Rebuild(double fill_factor) {
   for (size_t i = 0; i < entries.size(); i += per_leaf) {
     Leaf* leaf = new Leaf();
     const size_t end = std::min(entries.size(), i + per_leaf);
+    size_t bytes = 0;
     for (size_t j = i; j < end; ++j) {
-      leaf->AppendKey(entries[j].first);
-      leaf->AppendValue(entries[j].second);
+      bytes += entries[j].first.size() + entries[j].second.size();
+    }
+    leaf->slots.reserve(end - i);
+    leaf->arena.reserve(bytes);
+    for (size_t j = i; j < end; ++j) {
+      leaf->AppendEntry(entries[j].first, entries[j].second);
     }
     if (prev != nullptr) prev->next = leaf;
     prev = leaf;
@@ -557,9 +627,14 @@ Status BTree::Rebuild(double fill_factor) {
     for (size_t i = 0; i < level.size(); i += per_inner) {
       Inner* inner = new Inner();
       const size_t end = std::min(level.size(), i + per_inner);
+      size_t bytes = 0;
+      for (size_t j = i + 1; j < end; ++j) bytes += level[j].second.size();
+      inner->slots.reserve(end - i - 1);
+      inner->arena.reserve(bytes);
+      inner->children.reserve(end - i);
       for (size_t j = i; j < end; ++j) {
         inner->children.push_back(level[j].first);
-        if (j > i) inner->AppendKey(level[j].second);
+        if (j > i) inner->AppendEntry(level[j].second, Slice());
       }
       next_level.emplace_back(inner, level[i].second);
     }
@@ -573,19 +648,45 @@ Status BTree::Rebuild(double fill_factor) {
 
 Status BTree::CheckInvariants() const {
   int leaf_depth = -1;
-  return CheckNode(root_, 1, nullptr, nullptr, &leaf_depth);
+  BIONICDB_RETURN_NOT_OK(CheckNode(root_, 1, nullptr, nullptr, &leaf_depth));
+  // The leaf chain links exactly the tree's leaves, left to right.
+  const Leaf* chained = LeftmostLeafFor(root_);
+  std::vector<const Node*> stack{root_};
+  while (!stack.empty()) {
+    const Node* node = stack.back();
+    stack.pop_back();
+    if (!node->leaf) {
+      const auto& children = static_cast<const Inner*>(node)->children;
+      stack.insert(stack.end(), children.rbegin(), children.rend());
+      continue;
+    }
+    if (node != chained) {
+      return Status::Corruption("leaf chain skips or repeats a leaf");
+    }
+    chained = static_cast<const Leaf*>(node)->next;
+  }
+  if (chained != nullptr) {
+    return Status::Corruption("leaf chain runs past the last leaf");
+  }
+  return Status::OK();
 }
 
 Status BTree::CheckNode(const Node* node, int depth, const Slice* lo,
                         const Slice* hi, int* leaf_depth) const {
-  // Keys sorted strictly ascending and within (lo, hi]. Reference sanity:
-  // every ref must lie inside the arena (catches layout bugs before they
-  // turn into wild reads).
+  // Keys sorted strictly ascending and within (lo, hi]. Slot sanity: every
+  // slot must lie inside the arena (catches layout bugs before they turn
+  // into wild reads), inner slots carry no value bytes, and the arena holds
+  // exactly the live bytes plus the dead ones.
+  size_t live = 0;
   for (size_t i = 0; i < node->NumKeys(); ++i) {
-    const BTreeKeyRef& r = node->keys[i];
-    if (static_cast<size_t>(r.off) + r.len > node->karena.size()) {
-      return Status::Corruption("key ref outside arena");
+    const BTreeSlot& r = node->slots[i];
+    if (static_cast<size_t>(r.off) + r.bytes() > node->arena.size()) {
+      return Status::Corruption("slot outside arena");
     }
+    if (!node->leaf && r.vlen != 0) {
+      return Status::Corruption("inner slot carries value bytes");
+    }
+    live += r.bytes();
     if (r.prefix != KeyPrefix(node->KeyAt(i))) {
       return Status::Corruption("stale cached key prefix");
     }
@@ -599,16 +700,10 @@ Status BTree::CheckNode(const Node* node, int depth, const Slice* lo,
       return Status::Corruption("key above subtree upper bound");
     }
   }
+  if (live + node->dead != node->arena.size()) {
+    return Status::Corruption("arena size is not live + dead bytes");
+  }
   if (node->leaf) {
-    const Leaf* leaf = static_cast<const Leaf*>(node);
-    if (leaf->keys.size() != leaf->vals.size()) {
-      return Status::Corruption("leaf key/value count mismatch");
-    }
-    for (const BTreeValRef& r : leaf->vals) {
-      if (static_cast<size_t>(r.off) + r.len > leaf->varena.size()) {
-        return Status::Corruption("value ref outside arena");
-      }
-    }
     if (*leaf_depth == -1) {
       *leaf_depth = depth;
     } else if (*leaf_depth != depth) {
@@ -620,7 +715,7 @@ Status BTree::CheckNode(const Node* node, int depth, const Slice* lo,
     return Status::OK();
   }
   const Inner* inner = static_cast<const Inner*>(node);
-  if (inner->children.size() != inner->keys.size() + 1) {
+  if (inner->children.size() != inner->slots.size() + 1) {
     return Status::Corruption("inner child/separator count mismatch");
   }
   for (size_t i = 0; i < inner->children.size(); ++i) {

@@ -13,16 +13,25 @@
 //
 // Deletion uses empty-node removal rather than full merge/borrow
 // rebalancing: underflowed nodes are allowed (they only waste space, never
-// break ordering or uniform depth), and nodes are unlinked when they empty.
+// break ordering or uniform depth), and nodes are unlinked when they empty
+// (except a parent's lone child, so iterators step over empty leaves).
 //
-// Node layout: each node stores its key bytes in one contiguous per-node
-// arena with a sorted array of {offset, length} references; leaves keep
-// value bytes in a second arena. Binary search touches the reference array
-// plus arena bytes instead of chasing one heap string per key, and point
-// reads can return views into the leaf arena (GetView) without
-// materializing a std::string. Deleted/overwritten bytes become dead space
-// that node compaction reclaims (on splits, and when a node is mostly
-// dead).
+// Node layout: each node is one sorted array of 16-byte slots over one
+// byte arena. A slot holds {u32 offset, u16 key length, u16 value length,
+// u64 key prefix}; the arena stores each entry's key bytes followed by its
+// value bytes (inner nodes store keys only, with value length 0). A leaf
+// is therefore two heap blocks, and binary search resolves most
+// comparisons from the cached prefixes in the slot array alone. Point
+// reads can return views into the arena (GetView) without materializing a
+// std::string. Keys and values are at most 65,535 bytes each (a CHECK
+// failure above that).
+//
+// Space: deleted and overwritten bytes become dead space that compaction
+// reclaims once a node is mostly dead. A split keeps the split point; the
+// half that did not take the new key moves into exact-size storage, and
+// the half that took it keeps the grown arrays (compacted in place). An
+// ascending load thus leaves every leaf but the last one exact-fit, and
+// the first insert into an exact-fit leaf reallocates two blocks.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +72,13 @@ class BTree {
   /// with AlreadyExists; with true, the value is replaced (upsert).
   Status Insert(Slice key, Slice value, bool overwrite = false);
 
+  /// Insert with overwrite that also reports what it replaced, in the one
+  /// descent Insert makes: returns the first byte of the key's previous
+  /// value (as an unsigned char), or -1 when the key was new or that value
+  /// was empty. Callers that keep a tag byte in front of each value read
+  /// the old tag this way. Like every write, not a probe.
+  int Upsert(Slice key, Slice value);
+
   /// Point lookup returning an owned copy of the value.
   Result<std::string> Get(Slice key) const;
 
@@ -70,8 +86,8 @@ class BTree {
   /// depth the cost models consume).
   Result<std::string> GetTraced(Slice key, int* node_visits) const;
 
-  /// Zero-copy point lookup: the returned slice aliases the leaf's value
-  /// arena and is valid until the next modifying call on this tree
+  /// Zero-copy point lookup: the returned slice aliases the leaf's arena
+  /// and is valid until the next modifying call on this tree
   /// (insert/update/delete/rebuild). Callers that need the bytes past a
   /// write — or past a coroutine suspension that could interleave one —
   /// must copy.
@@ -79,6 +95,10 @@ class BTree {
 
   /// GetView + node-visit count (see GetTraced).
   Result<Slice> GetTracedView(Slice key, int* node_visits) const;
+
+  /// GetView for bookkeeping reads: the same view, but not a probe, so
+  /// BTreeStats (what the cost models and benchmarks count) stay put.
+  Result<Slice> Peek(Slice key) const;
 
   /// Replaces the value of an existing key.
   Status Update(Slice key, Slice value);
@@ -127,7 +147,8 @@ class BTree {
   Status Rebuild(double fill_factor = 0.9);
 
   /// Structural invariant check (uniform depth, ordered keys, separator
-  /// correctness, leaf-chain order). For tests; O(n).
+  /// correctness, slots inside the arena, arena size = live + dead bytes,
+  /// no value bytes in inner nodes). For tests; O(n).
   Status CheckInvariants() const;
 
  private:
@@ -143,6 +164,10 @@ class BTree {
   static size_t ChildIndex(const Node& node, Slice key);
   static size_t LowerBound(const Node& node, Slice key);
 
+  /// Shared body of Insert and Upsert; *prev (if set) receives Upsert's
+  /// result.
+  Status InsertImpl(Slice key, Slice value, bool overwrite, int* prev);
+
   /// Recursive insert; returns a (separator, new right sibling) pair when
   /// the child split.
   struct SplitResult {
@@ -151,7 +176,7 @@ class BTree {
     Node* right = nullptr;
   };
   SplitResult InsertRec(Node* node, Slice key, Slice value, bool overwrite,
-                        Status* st);
+                        int* prev, Status* st);
 
   /// Recursive delete; sets *empty when `node` has no entries left.
   Status DeleteRec(Node* node, Slice key, bool* empty);

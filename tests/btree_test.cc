@@ -213,13 +213,100 @@ TEST(BTreeTest, ProbeStatsAccumulate) {
   EXPECT_GE(t.stats().node_visits, t.stats().probes);
 }
 
+TEST(BTreeTest, UpsertReportsReplacedFirstByte) {
+  BTree t;
+  EXPECT_EQ(t.Upsert("k", "abc"), -1);  // new key
+  EXPECT_EQ(t.Upsert("k", "xyz-longer"), 'a');
+  EXPECT_EQ(t.Upsert("k", ""), 'x');
+  EXPECT_EQ(t.Upsert("k", "\xff"), -1);  // replaced an empty value
+  EXPECT_EQ(t.Upsert("k", "z"), 0xff);
+  EXPECT_EQ(*t.Get("k"), "z");
+  EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(BTreeTest, PeekIsNotAProbe) {
+  BTree t;
+  for (uint64_t i = 0; i < 500; ++i) {
+    ASSERT_TRUE(t.Insert(EncodeKeyU64(i), EncodeKeyU64(i * 3)).ok());
+  }
+  ASSERT_EQ(t.stats().probes, 0u);
+  EXPECT_EQ(DecodeKeyU64(*t.Peek(EncodeKeyU64(42))), 126u);
+  EXPECT_TRUE(t.Peek(EncodeKeyU64(9999)).status().IsNotFound());
+  EXPECT_EQ(t.stats().probes, 0u);
+  EXPECT_EQ(t.stats().node_visits, 0u);
+}
+
+// Deletes never unlink a lone child, so a tree can end up with runs of
+// empty leaves. Iterators must step over the whole run: one positioned on
+// an empty leaf would read a key slot past its end.
+TEST(BTreeTest, IteratorsSkipRunsOfEmptyLeaves) {
+  BTreeConfig cfg;
+  cfg.inner_fanout = 4;
+  cfg.leaf_capacity = 4;
+  BTree t(cfg);
+  for (uint64_t i = 0; i < 400; ++i) {
+    ASSERT_TRUE(t.Insert(EncodeKeyU64(i), "v").ok());
+  }
+  for (uint64_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(t.Delete(EncodeKeyU64(i)).ok());
+  }
+  ASSERT_TRUE(t.CheckInvariants().ok());
+  uint64_t want = 300;
+  for (auto it = t.Begin(); it.Valid(); it.Next(), ++want) {
+    ASSERT_EQ(DecodeKeyU64(it.key()), want);
+  }
+  EXPECT_EQ(want, 400u);
+  auto it = t.Seek(EncodeKeyU64(7));
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(DecodeKeyU64(it.key()), 300u);
+  int count = 0;
+  for (it = t.SeekRange(EncodeKeyU64(0), EncodeKeyU64(310)); it.Valid();
+       it.Next()) {
+    ++count;
+  }
+  EXPECT_EQ(count, 10);
+}
+
+// Pins the split points, which the node layout must not move: probe depth
+// and node-visit counts feed the cost models. An ascending load (what every
+// loader does) of 200k TATP-shaped pair keys.
+TEST(BTreeTest, SequentialLoadShapeIsUnchanged) {
+  BTree t;
+  for (uint64_t i = 0; i < 200000; ++i) {
+    ASSERT_TRUE(t.Insert(EncodeKeyU64Pair(i, i * 31), "v").ok());
+  }
+  EXPECT_EQ(t.height(), 4);
+  EXPECT_EQ(t.stats().splits, 6440u);
+  ASSERT_TRUE(t.CheckInvariants().ok());
+}
+
+// Entries are described by 16-bit lengths.
+TEST(BTreeTest, MaxSizeKeyAndValueRoundTrip) {
+  BTree t;
+  const std::string key(65535, 'k');
+  const std::string value(65535, 'v');
+  ASSERT_TRUE(t.Insert(key, value).ok());
+  ASSERT_TRUE(t.Insert("a", "1").ok());
+  EXPECT_EQ(*t.Get(key), value);
+  ASSERT_TRUE(t.Update("a", value).ok());
+  EXPECT_EQ(*t.Get("a"), value);
+  ASSERT_TRUE(t.CheckInvariants().ok());
+}
+
 // ------------------------------------------------------- property testing --
+
+/// Insert-key order of a model run; the other ops pick keys at random.
+enum class KeyOrder : uint16_t { kRandom, kAscending, kDescending };
 
 struct ModelParams {
   uint64_t seed;
   int inner_fanout;
   int leaf_capacity;
   int key_space;
+  KeyOrder order = KeyOrder::kRandom;
+  /// Values are 1..max_value bytes. Past a few bytes, updates outgrow
+  /// their slot (re-append) and leaves fill with dead bytes (compaction).
+  uint16_t max_value = 6;
 };
 
 class BTreeModelTest : public ::testing::TestWithParam<ModelParams> {};
@@ -232,13 +319,19 @@ TEST_P(BTreeModelTest, MatchesStdMapUnderRandomOps) {
   BTree t(cfg);
   std::map<std::string, std::string> model;
   Rng rng(p.seed);
+  const auto key_space = static_cast<uint64_t>(p.key_space);
+  uint64_t ordered_inserts = 0;
 
   for (int step = 0; step < 4000; ++step) {
-    const std::string key =
-        EncodeKeyU64(rng.Uniform(static_cast<uint64_t>(p.key_space)));
+    std::string key = EncodeKeyU64(rng.Uniform(key_space));
     const uint64_t op = rng.Uniform(10);
+    if (op < 5 && p.order != KeyOrder::kRandom) {
+      const uint64_t i = ordered_inserts++ % key_space;
+      key = EncodeKeyU64(p.order == KeyOrder::kAscending ? i
+                                                         : key_space - 1 - i);
+    }
     if (op < 5) {  // insert
-      const std::string val = rng.AlphaString(1, 6);
+      const std::string val = rng.AlphaString(1, p.max_value);
       const bool fresh = model.find(key) == model.end();
       Status st = t.Insert(key, val);
       ASSERT_EQ(st.ok(), fresh);
@@ -254,14 +347,24 @@ TEST_P(BTreeModelTest, MatchesStdMapUnderRandomOps) {
       if (r.ok()) {
         ASSERT_EQ(*r, mit->second);
       }
-    } else {  // update
-      const std::string val = rng.AlphaString(1, 6);
+    } else if (step % 2 == 0) {  // update
+      const std::string val = rng.AlphaString(1, p.max_value);
       const bool present = model.find(key) != model.end();
       Status st = t.Update(key, val);
       ASSERT_EQ(st.ok(), present);
       if (present) model[key] = val;
+    } else {  // upsert, which reports the replaced value's first byte
+      const std::string val = rng.AlphaString(1, p.max_value);
+      auto mit = model.find(key);
+      const int replaced =
+          mit == model.end() ? -1 : static_cast<unsigned char>(mit->second[0]);
+      ASSERT_EQ(t.Upsert(key, val), replaced);
+      model[key] = val;
     }
     ASSERT_EQ(t.size(), model.size());
+    if (step % 500 == 0) {
+      ASSERT_TRUE(t.CheckInvariants().ok()) << step;
+    }
   }
   ASSERT_TRUE(t.CheckInvariants().ok());
 
@@ -282,13 +385,25 @@ INSTANTIATE_TEST_SUITE_P(
                       ModelParams{3, 64, 64, 512},   // default nodes
                       ModelParams{4, 8, 32, 2048},   // asymmetric
                       ModelParams{5, 128, 16, 300},  // wide inner
-                      ModelParams{6, 3, 2, 128}),    // minimum legal sizes
+                      ModelParams{6, 3, 2, 128},     // minimum legal sizes
+                      // Ordered loads: every split takes the new key on
+                      // one side only.
+                      ModelParams{7, 8, 8, 4096, KeyOrder::kAscending},
+                      ModelParams{8, 8, 8, 4096, KeyOrder::kDescending},
+                      ModelParams{9, 4, 4, 4096, KeyOrder::kAscending, 200},
+                      // Values that outgrow their slot and compact.
+                      ModelParams{10, 64, 16, 512, KeyOrder::kRandom, 300},
+                      ModelParams{11, 4, 4, 64, KeyOrder::kRandom, 300}),
     [](const ::testing::TestParamInfo<ModelParams>& info) {
       const auto& p = info.param;
-      return "seed" + std::to_string(p.seed) + "_f" +
-             std::to_string(p.inner_fanout) + "_l" +
-             std::to_string(p.leaf_capacity) + "_k" +
-             std::to_string(p.key_space);
+      std::string name = "seed" + std::to_string(p.seed) + "_f" +
+                         std::to_string(p.inner_fanout) + "_l" +
+                         std::to_string(p.leaf_capacity) + "_k" +
+                         std::to_string(p.key_space);
+      if (p.order == KeyOrder::kAscending) name += "_asc";
+      if (p.order == KeyOrder::kDescending) name += "_desc";
+      if (p.max_value != 6) name += "_v" + std::to_string(p.max_value);
+      return name;
     });
 
 // ------------------------------------------------------------------ codec --

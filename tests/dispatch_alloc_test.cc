@@ -14,6 +14,10 @@
 // into its preallocated ring — still no steady-state allocations — and
 // export byte-identical traces for identical runs.
 //
+// A Bionic point read that hits the overlay is held to the same contract:
+// its record is read in place from the overlay leaf, so once the frame
+// pool is warm the read allocates nothing.
+//
 // Sanitizer builds define BIONICDB_NO_FRAME_POOL (each coroutine frame is
 // an individual heap allocation so ASan can track it); there the test
 // still runs the cycle but only checks that allocations stay bounded.
@@ -30,6 +34,7 @@
 #include "engine/engine.h"
 #include "exec/threaded.h"
 #include "hw/platform.h"
+#include "index/codec.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
 #include "txn/xct.h"
@@ -250,6 +255,44 @@ TEST(DispatchAllocTest, ThreadedFreshKeyCycleIsAllocationFree) {
   steady = bench::AllocCount() - steady;
   EXPECT_EQ(backend.stats().actions_executed, kWarmup + kMeasured);
   backend.Shutdown();  // CHECKs that every partition's tables are empty
+  ExpectSteadyStateAllocFree(steady);
+}
+
+sim::Task<void> OverlayHitReads(engine::Engine* eng, engine::Table* table,
+                                const std::vector<std::string>* keys,
+                                uint64_t* steady_allocs) {
+  engine::Engine::ExecContext ctx;
+  ctx.engine = eng;
+  for (uint64_t i = 0; i < kWarmup + kMeasured; ++i) {
+    if (i == kWarmup) *steady_allocs = bench::AllocCount();
+    auto view = co_await eng->ReadView(ctx, table, (*keys)[i % keys->size()]);
+    BIONICDB_CHECK(view.ok());
+  }
+  *steady_allocs = bench::AllocCount() - *steady_allocs;
+  co_await eng->Shutdown();
+}
+
+// Every overlay read's coroutine frame must fit the frame pool's classes:
+// the page the miss leg fetches into lives on the heap, not in the frame,
+// so a hit recycles pooled frames and allocates nothing.
+TEST(DispatchAllocTest, OverlayHitReadViewIsAllocationFree) {
+  sim::Simulator sim;
+  engine::EngineConfig cfg = engine::EngineConfig::Bionic();
+  cfg.num_partitions = 4;
+  cfg.overlay_residency = 1.0;
+  engine::Engine engine(&sim, cfg);
+  engine::Table* t = engine.CreateTable("T");
+  std::vector<std::string> keys;
+  for (uint64_t i = 0; i < 64; ++i) {
+    keys.push_back(index::EncodeKeyU64(i));
+    ASSERT_TRUE(engine.LoadRow(t, keys.back(), std::string(100, 'r')).ok());
+  }
+  engine.Start();
+  uint64_t steady = 0;
+  sim.Spawn(OverlayHitReads(&engine, t, &keys, &steady));
+  sim.Run();
+  EXPECT_GE(t->overlay()->stats().hits, kWarmup + kMeasured);
+  EXPECT_EQ(t->overlay()->stats().misses, 0u);
   ExpectSteadyStateAllocFree(steady);
 }
 

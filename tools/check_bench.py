@@ -21,6 +21,9 @@ gates come in two backend dimensions, selected with --backend:
                 exactly from run to run: the DORA dispatch cycle
                 allocates nothing, and a simulated TATP transaction at
                 most TATP_E2E_ALLOCS_CEILING times.
+              * B+Tree memory: the heap an ascending 200k-row load holds
+                per entry (btree_insert_16's bytes_per_entry, also exact
+                per allocator) is at most BTREE_BYTES_PER_ENTRY_CEILING.
 
   threaded  Wall-clock gates on the real-thread backend rows
             (tatp_threaded_t{1,2,4,8}, tpcc_threaded_t8). Absolute
@@ -59,9 +62,13 @@ import sys
 
 SIM_TXN_PER_SEC_PIN = 2192905.5
 # bench/wallclock's tatp_e2e_dora allocs_per_op with fixed-width lock keys
-# (txn::LockKey); a higher count means an allocation came back onto the
-# simulated TATP path.
-TATP_E2E_ALLOCS_CEILING = 33.027
+# (txn::LockKey) and two-block B+Tree leaves; a higher count means an
+# allocation came back onto the simulated TATP path.
+TATP_E2E_ALLOCS_CEILING = 33.026
+# bench/wallclock's btree_insert_16 bytes_per_entry with one slot array and
+# one byte arena per node (171.5 with per-node key and value arenas); a
+# higher figure means index entries grew or leaves stopped being exact-fit.
+BTREE_BYTES_PER_ENTRY_CEILING = 132.9
 TATP_THREAD_SWEEP = [1, 2, 4, 8]
 
 
@@ -152,6 +159,14 @@ def check_sim(wallclock, evq, baseline):
         )
     print(f"ok: tatp_e2e_dora {tatp} allocations per transaction "
           f"(ceiling {TATP_E2E_ALLOCS_CEILING})")
+    per_entry = wallclock["btree_insert_16"]["bytes_per_entry"]
+    if per_entry > BTREE_BYTES_PER_ENTRY_CEILING:
+        fail(
+            f"btree_insert_16 holds {per_entry} heap bytes per entry, above "
+            f"the ceiling of {BTREE_BYTES_PER_ENTRY_CEILING}"
+        )
+    print(f"ok: btree_insert_16 {per_entry} bytes per entry "
+          f"(ceiling {BTREE_BYTES_PER_ENTRY_CEILING})")
 
 
 def check_threaded(wallclock):
