@@ -4,12 +4,11 @@
 //   * shard count      (1..8, zero cross-shard traffic): throughput must
 //                      be monotone — each shard brings its own DORA
 //                      partitions, WAL device, and group-commit stream;
-//   * cross-shard mix  (0..10% distributed writes at 4 shards): the
-//                      price of 2PC — two prepares + a decision record,
-//                      all durably ordered, per distributed transaction.
-//                      Run twice: parallel branch fan-out (xshard_r*) and
-//                      the sequential PR 9 protocol (xshard_seq_r*), so
-//                      check_bench can gate fan-out strictly faster;
+//   * cross-shard mix  (xshard_r*: 0..10% distributed writes at 4
+//                      shards): the price of 2PC — two prepares + a
+//                      decision record, all durably ordered, per
+//                      distributed transaction, with the branches fanned
+//                      out in parallel;
 //   * snapshot reads   (xsnap_r*: read-only cross-shard pairs): served
 //                      by the prepare-free path — tpc_started must stay
 //                      0 while snap_committed carries the traffic;
@@ -52,7 +51,6 @@ struct RowSpec {
   int shards = 4;
   double cross_ratio = 0.0;
   double cross_read_ratio = 0.0;
-  bool fanout = true;
   bool compact = false;
   int clients = 32;
   uint64_t warmup_txns = 2000;
@@ -79,7 +77,6 @@ Row RunShardedTatp(const RowSpec& spec) {
   shard::ClusterConfig cc;
   cc.num_shards = spec.shards;
   cc.engine = ShardEngineConfig(spec.compact);
-  cc.fanout_2pc = spec.fanout;
   shard::Cluster cluster(&sim, cc);
 
   workload::ShardedTatpConfig wc;
@@ -132,7 +129,6 @@ Row RunShardedTatp(const RowSpec& spec) {
   row.fields.emplace_back("snap_started", static_cast<double>(snap.started));
   row.fields.emplace_back("snap_committed",
                           static_cast<double>(snap.committed));
-  row.fields.emplace_back("fanout", spec.fanout ? 1.0 : 0.0);
   // Per-phase 2PC attribution, mean over shard 0's finished transactions
   // (zero on rows with no cross-shard traffic): where the distributed
   // commit path spends its time, and what fan-out removed.
@@ -251,30 +247,24 @@ std::vector<RowSpec> BuildSpecs(bool smoke) {
     specs.push_back(s);
   }
 
-  // Cross-shard ratio ablation at 4 shards: fan-out (xshard_r*) plus the
-  // sequential baseline (xshard_seq_r*, positive ratios only — at ratio 0
-  // the two protocols never run). check_bench gates fan-out strictly
-  // faster at the top shared ratio.
+  // Cross-shard ratio ablation at 4 shards. check_bench gates 2PC
+  // commits on every positive ratio and decision-record GC at the top one.
   const std::vector<double> ratios =
       smoke ? std::vector<double>{0.0, 0.05}
             : std::vector<double>{0.0, 0.005, 0.01, 0.02, 0.05, 0.1};
-  for (bool fanout : {true, false}) {
-    for (double r : ratios) {
-      if (!fanout && r == 0.0) continue;
-      RowSpec s;
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", r);
-      s.name = std::string(fanout ? "xshard_r" : "xshard_seq_r") + buf;
-      s.subscribers = sweep_subs;
-      s.shards = 4;
-      s.cross_ratio = r;
-      s.fanout = fanout;
-      s.compact = true;
-      s.clients = 64;
-      s.warmup_txns = 2000;
-      s.measured_txns = 8000;
-      specs.push_back(s);
-    }
+  for (double r : ratios) {
+    RowSpec s;
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", r);
+    s.name = std::string("xshard_r") + buf;
+    s.subscribers = sweep_subs;
+    s.shards = 4;
+    s.cross_ratio = r;
+    s.compact = true;
+    s.clients = 64;
+    s.warmup_txns = 2000;
+    s.measured_txns = 8000;
+    specs.push_back(s);
   }
 
   // Read-only cross-shard pairs at 4 shards: the prepare-free snapshot

@@ -1,7 +1,5 @@
 #include "common/random.h"
 
-#include <cmath>
-
 namespace bionicdb {
 
 std::string Rng::AlphaString(int min_len, int max_len) {
@@ -14,36 +12,6 @@ std::string Rng::AlphaString(int min_len, int max_len) {
     s.push_back(kAlphabet[Uniform(sizeof(kAlphabet) - 1)]);
   }
   return s;
-}
-
-namespace {
-double Zeta(uint64_t n, double theta) {
-  double sum = 0.0;
-  for (uint64_t i = 1; i <= n; ++i) sum += 1.0 / std::pow(static_cast<double>(i), theta);
-  return sum;
-}
-}  // namespace
-
-ZipfianGenerator::ZipfianGenerator(uint64_t n, double theta, uint64_t seed)
-    : n_(n), theta_(theta), rng_(seed) {
-  BIONICDB_CHECK(n > 0);
-  zetan_ = Zeta(n, theta);
-  zeta2theta_ = Zeta(2, theta);
-  alpha_ = 1.0 / (1.0 - theta);
-  eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
-         (1.0 - zeta2theta_ / zetan_);
-}
-
-uint64_t ZipfianGenerator::Next() {
-  const double u = rng_.NextDouble();
-  const double uz = u * zetan_;
-  if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
-  const double v =
-      static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_);
-  uint64_t item = static_cast<uint64_t>(v);
-  if (item >= n_) item = n_ - 1;
-  return item;
 }
 
 std::vector<uint32_t> RandomPermutation(uint32_t n, Rng* rng) {

@@ -1,5 +1,5 @@
 // Deterministic pseudo-random generators used by the simulator and the
-// workload generators: xorshift64*, Zipfian (YCSB-style), TPC-C NURand.
+// workload generators: xorshift64*, TPC-C NURand.
 #pragma once
 
 #include <cstdint>
@@ -59,28 +59,6 @@ class Rng {
 
  private:
   uint64_t state_;
-};
-
-/// Zipfian generator over [0, n) with parameter theta (YCSB formulation).
-/// Used for skewed key popularity in TATP/overlay experiments.
-class ZipfianGenerator {
- public:
-  ZipfianGenerator(uint64_t n, double theta, uint64_t seed = 42);
-
-  /// Draws the next item id in [0, n).
-  uint64_t Next();
-
-  uint64_t n() const { return n_; }
-  double theta() const { return theta_; }
-
- private:
-  uint64_t n_;
-  double theta_;
-  double alpha_;
-  double zetan_;
-  double eta_;
-  double zeta2theta_;
-  Rng rng_;
 };
 
 /// Fisher-Yates shuffle of a permutation [0, n), deterministic under `rng`.

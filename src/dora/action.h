@@ -16,53 +16,110 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/inplace_function.h"
+#include "common/macros.h"
 #include "common/slice.h"
 #include "common/status.h"
+#include "queueing/scheduler.h"
 #include "sim/sync.h"
 #include "sim/task.h"
 #include "txn/lock_key.h"
 #include "txn/xct.h"
 
-namespace bionicdb::exec {
-class ThreadedRvp;
-}
-
 namespace bionicdb::dora {
 
 class Partition;
 
-/// Joins `count` actions; the awaiting coroutine (the transaction driver)
-/// resumes when the last arrives. The first non-OK status wins.
+/// Joins `count` actions; the awaiting transaction driver resumes when the
+/// last arrives. The first non-OK status wins.
+///
+/// On the simulator the driver suspends on a sim::Completion. On real
+/// threads (`threaded`, exec::ThreadedBackend) agents arrive from their own
+/// threads and Wait() blocks the driver's thread without suspending: it
+/// spins for kSpinYieldsBeforePark yields, then parks on the condvar, so a
+/// short phase hands control back without a futex round trip.
+///
+/// The waiter may destroy the RVP as soon as Wait() returns (it lives on
+/// the driver's stack or frame). A threaded arriver touches it only up to
+/// its decrement — unless that decrement is the last one and finds the
+/// waiter parked, in which case the arriver wakes it under the mutex the
+/// waiter must reacquire before it can return. The acq_rel decrement also
+/// carries the happens-before edge from each agent's writes (locks recorded
+/// on the Xct, undo entries, table mutations) to the driver past Wait().
 class Rvp {
  public:
-  Rvp(sim::Simulator* sim, int count)
-      : remaining_(count), done_(sim) {
+  Rvp(sim::Simulator* sim, int count, bool threaded = false)
+      : state_(static_cast<uint32_t>(count)), threaded_(threaded),
+        done_(sim) {
     if (count == 0) done_.Set();  // empty phases complete immediately
   }
+  BIONICDB_DISALLOW_COPY_AND_ASSIGN(Rvp);
 
   /// Called by the executing agent when an action finishes.
-  void Arrive(Status st) {
-    if (!st.ok() && agg_.ok()) agg_ = st;
-    if (--remaining_ == 0) done_.Set();
+  void Arrive(Status st = Status::OK()) {
+    // Read before the decrement: past it, a threaded waiter may already
+    // have destroyed the RVP.
+    const bool threaded = threaded_;
+    if (!st.ok()) {
+      std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
+      if (threaded) lk.lock();
+      if (agg_.ok()) agg_ = std::move(st);
+    }
+    const uint32_t prev = state_.fetch_sub(1, std::memory_order_acq_rel);
+    if (!threaded) {
+      if (prev == 1) done_.Set();
+      return;
+    }
+    if (prev != (kParked | 1)) return;  // not last, or waiter still spinning
+    std::lock_guard<std::mutex> lk(mu_);
+    woken_ = true;
+    cv_.notify_one();
   }
 
   /// Awaited by the transaction driver.
   sim::Task<Status> Wait() {
+    if (threaded_) co_return Block();
     co_await done_.Wait();
     co_return agg_;
   }
 
-  int remaining() const { return remaining_; }
-
  private:
-  int remaining_;
+  /// Set in state_ by a threaded waiter that has given up spinning.
+  static constexpr uint32_t kParked = 1u << 31;
+
+  Status Block() {
+    for (int spin = 0; spin < queueing::kSpinYieldsBeforePark; ++spin) {
+      if (state_.load(std::memory_order_acquire) == 0) return agg_;
+      std::this_thread::yield();
+    }
+    std::unique_lock<std::mutex> lk(mu_);
+    // Flag the wait so the last arriver wakes us, unless it already came.
+    uint32_t s = state_.load(std::memory_order_acquire);
+    while (s != 0 && !state_.compare_exchange_weak(s, s | kParked,
+                                                   std::memory_order_acq_rel,
+                                                   std::memory_order_acquire)) {
+    }
+    if (s != 0) cv_.wait(lk, [&] { return woken_; });
+    return agg_;
+  }
+
+  std::atomic<uint32_t> state_;  // arrivals outstanding | kParked
+  const bool threaded_;
+  sim::Completion done_;  // simulator only
+  // Threaded only: mu_ guards agg_'s writes and woken_; the waiter reads
+  // agg_ once every arrival is in.
+  std::mutex mu_;
+  std::condition_variable cv_;
   Status agg_;
-  sim::Completion done_;
+  bool woken_ = false;
 };
 
 /// Execution context handed to an action body by the partition agent.
@@ -84,10 +141,6 @@ struct Action {
   bool shared_locks = false;
   ActionFn fn;
   Rvp* rvp = nullptr;
-  /// Rendezvous for the threaded backend (exec::ThreadedBackend); exactly
-  /// one of rvp/trvp is set depending on which substrate dispatched the
-  /// action.
-  exec::ThreadedRvp* trvp = nullptr;
   int socket = 0;
   /// Timeline bookkeeping (obs::TxnTimeline attribution): when the action
   /// entered its partition queue, and — if it parked on a local lock —
@@ -117,7 +170,6 @@ struct Action {
     shared_locks = false;
     fn = nullptr;
     rvp = nullptr;
-    trvp = nullptr;
     socket = 0;
     enqueue_ts = 0;
     parked_since = 0;

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "exec/threaded.h"
-#include "exec/threaded_wal.h"
 
 namespace bionicdb::engine {
 
@@ -432,14 +431,18 @@ sim::Task<void> Engine::CpuWork(ExecContext& ctx, double ns, Component c) {
     co_await cores.Work(t);
     cores.Detach();
   }
-  platform_->meter().ChargeBusy(platform_->cpu_component(), t, 0);
-  breakdown_.Charge(c, t);
+  ChargeCpu(t, c);
 }
 
 sim::Task<void> Engine::CpuWorkNoCore(double ns, Component c) {
   const SimTime t = static_cast<SimTime>(ns);
   if (threaded_ || t <= 0) co_return;
   co_await sim::Delay{sim_, t};
+  ChargeCpu(t, c);
+}
+
+void Engine::ChargeCpu(SimTime t, Component c) {
+  if (threaded_ || t <= 0) return;
   platform_->meter().ChargeBusy(platform_->cpu_component(), t, 0);
   breakdown_.Charge(c, t);
 }
@@ -488,38 +491,6 @@ sim::Task<Status> Engine::LogWriteTimed(ExecContext& ctx,
   std::string key_s = key.ToString();
   std::string redo_s = redo.ToString();
   std::string undo_s = undo.ToString();
-  if (threaded_) {
-    // Threads append to the backend's WAL. The transaction's actions run
-    // concurrently and share its begin record, LSN chain and undo chain.
-    exec::ThreadedWal& wal = threaded_->wal();
-    txn::Xct* xct = ctx.xct;
-    std::lock_guard<std::mutex> lk(xct->mu);
-    BIONICDB_CHECK(xct->state == txn::XctState::kActive);
-    if (!xct->begin_logged) {
-      xct->begin_logged = true;
-      wal::LogRecord begin;
-      begin.type = wal::RecordType::kBegin;
-      begin.txn_id = xct->id;
-      begin.prev_lsn = wal::kInvalidLsn;
-      xct->last_lsn = wal.Append(begin);
-    }
-    wal::LogRecord rec;
-    rec.type = type;
-    rec.txn_id = xct->id;
-    rec.table_id = table->id();
-    rec.prev_lsn = xct->last_lsn;
-    rec.key = key_s;
-    rec.redo = std::move(redo_s);
-    rec.undo = undo_s;
-    xct->last_lsn = wal.Append(rec);
-    txn::UndoEntry entry;
-    entry.type = type;
-    entry.table_id = table->id();
-    entry.key = std::move(key_s);
-    entry.before = std::move(undo_s);
-    xct->undo_chain.push_back(std::move(entry));
-    co_return Status::OK();
-  }
   obs::TxnTimeline* tl = ctx.xct != nullptr ? ctx.xct->timeline : nullptr;
   const SimTime w0 = tl != nullptr ? sim_->Now() : 0;
   const bool hw_log =
@@ -528,24 +499,27 @@ sim::Task<Status> Engine::LogWriteTimed(ExecContext& ctx,
     // The CPU only posts a descriptor; ordering happens in the unit.
     co_await CpuWork(ctx, static_cast<double>(log_unit_->CpuSubmitCost()),
                      Component::kLog);
-    Status st = co_await xm_->LogWrite(ctx.xct, type, table->id(), key_s,
-                                       redo_s, undo_s, ctx.socket);
-    if (tl != nullptr) {
-      tl->Charge(obs::Stage::kWalAppend, sim_->Now() - w0);
-      tl->TagHw(obs::Stage::kWalAppend);
-    }
-    co_return st;
   }
-  // Software log: the caller burns CPU for the whole reserve/copy/release
-  // (plus any contention stall), so the elapsed append time is charged as
-  // CPU work on the Log component.
   const SimTime t0 = sim_->Now();
-  Status st = co_await xm_->LogWrite(ctx.xct, type, table->id(), key_s,
-                                     redo_s, undo_s, ctx.socket);
-  const SimTime elapsed = sim_->Now() - t0;
-  platform_->meter().ChargeBusy(platform_->cpu_component(), elapsed, 0);
-  breakdown_.Charge(Component::kLog, elapsed);
-  if (tl != nullptr) tl->Charge(obs::Stage::kWalAppend, sim_->Now() - w0);
+  Status st;
+  {
+    // On threads the transaction's concurrently running actions share its
+    // begin record, LSN chain and undo chain.
+    std::unique_lock<std::mutex> xl = XctLatch(ctx.xct);
+    st = co_await xm_->LogWrite(ctx.xct, type, table->id(), std::move(key_s),
+                                std::move(redo_s), std::move(undo_s),
+                                ctx.socket);
+  }
+  if (!hw_log) {
+    // Software log: the caller burns CPU for the whole reserve/copy/release
+    // (plus any contention stall), so the elapsed append time is charged
+    // as CPU work on the Log component.
+    ChargeCpu(sim_->Now() - t0, Component::kLog);
+  }
+  if (tl != nullptr) {
+    tl->Charge(obs::Stage::kWalAppend, sim_->Now() - w0);
+    if (hw_log) tl->TagHw(obs::Stage::kWalAppend);
+  }
   co_return st;
 }
 
@@ -553,6 +527,7 @@ sim::Task<Status> Engine::LogWriteTimed(ExecContext& ctx,
 
 void Engine::AttachThreadedBackend(exec::ThreadedBackend* backend) {
   threaded_ = backend;
+  xm_->set_log(backend != nullptr ? &backend->wal() : log_.get());
   if (backend == nullptr) return;
   table_mu_.clear();
   for (size_t i = 0; i < db_->num_tables(); ++i) {
@@ -1227,17 +1202,14 @@ sim::Task<Status> Engine::Checkpoint(ExecContext& ctx) {
   if (!UseOverlay() && !threaded_) {
     BIONICDB_CO_RETURN_NOT_OK(co_await bpool_->FlushAll());
   }
-  // 2. Mark the log: replay after a crash starts here.
+  // 2. Mark the log the transactions write (the backend's on threads):
+  // replay after a crash starts here.
+  wal::LogManager* log = xm_->log();
   wal::LogRecord rec;
   rec.type = wal::RecordType::kCheckpoint;
-  if (threaded_) {
-    exec::ThreadedWal& wal = threaded_->wal();
-    rec.prev_lsn = wal.current_lsn();
-    co_return wal.WaitDurable(wal.Append(rec) + 1);
-  }
-  rec.prev_lsn = log_->current_lsn();
-  const wal::Lsn lsn = co_await log_->Append(std::move(rec), ctx.socket);
-  co_return co_await log_->WaitDurable(lsn + 1);
+  rec.prev_lsn = log->current_lsn();
+  const wal::Lsn lsn = co_await log->Append(std::move(rec), ctx.socket);
+  co_return co_await log->WaitDurable(lsn + 1);
 }
 
 sim::Task<Status> Engine::ReorganizeIndex(ExecContext& ctx, Table* table) {
@@ -1322,14 +1294,9 @@ sim::Task<Status> Engine::CommitTxn(ExecContext& ctx, txn::Xct* xct) {
   const SimTime t0 = sim_->Now();
   const wal::Lsn commit_lsn = co_await xm_->AppendCommitRecord(xct,
                                                                ctx.socket);
-  const SimTime append_elapsed = sim_->Now() - t0;
   const bool hw_log =
       config_.mode == EngineMode::kBionic && config_.offload.logging;
-  if (!hw_log && append_elapsed > 0) {
-    platform_->meter().ChargeBusy(platform_->cpu_component(), append_elapsed,
-                                  0);
-    breakdown_.Charge(Component::kLog, append_elapsed);
-  }
+  if (!hw_log) ChargeCpu(sim_->Now() - t0, Component::kLog);
   if (tl != nullptr) {
     // Commit protocol up to (and including) ordering the commit record.
     tl->Charge(obs::Stage::kCommit, sim_->Now() - commit0);
@@ -1500,13 +1467,9 @@ sim::Task<Status> Engine::PrepareBranch(BranchHandle* h, uint64_t gtid,
   const SimTime t0 = sim_->Now();
   const wal::Lsn prepare_lsn =
       co_await xm_->AppendPrepareRecord(h->xct.get(), gtid, h->socket);
-  const SimTime elapsed = sim_->Now() - t0;
   const bool hw_log =
       config_.mode == EngineMode::kBionic && config_.offload.logging;
-  if (!hw_log && elapsed > 0) {
-    platform_->meter().ChargeBusy(platform_->cpu_component(), elapsed, 0);
-    breakdown_.Charge(Component::kLog, elapsed);
-  }
+  if (!hw_log) ChargeCpu(sim_->Now() - t0, Component::kLog);
   Status st = Status::OK();
   if (wait_durable) {
     st = co_await xm_->WaitPrepareDurable(prepare_lsn);
@@ -1607,8 +1570,10 @@ sim::Task<Status> Engine::RunPhaseConventional(Phase& phase,
                                                ExecContext& ctx) {
   obs::TxnTimeline* tl = ctx.xct->timeline;
   for (TxnStep& step : phase) {
-    // 2PL: centralized lock manager, row locks, wait-die on conflict.
+    // 2PL: centralized lock manager, row locks, wait-die on conflict. On
+    // threads the backend's global transaction mutex stands in for it.
     for (const std::string& key : step.keys) {
+      if (threaded_) break;
       co_await CpuWork(ctx, platform_->cost().LockAcquireNs(),
                        Component::kXct);
       const SimTime l0 = tl != nullptr ? sim_->Now() : 0;
@@ -1629,11 +1594,13 @@ sim::Task<Status> Engine::RunPhaseConventional(Phase& phase,
 
 sim::Task<Status> Engine::RunPhaseDora(Phase& phase, ExecContext& ctx) {
   const bool async = config_.mode == EngineMode::kBionic;
-  dora::Rvp rvp(sim_, static_cast<int>(phase.size()));
+  dora::Rvp rvp(sim_, static_cast<int>(phase.size()), threaded_ != nullptr);
   for (TxnStep& step : phase) {
-    // Actions come from the executor's pool and carry fixed-width lock
-    // keys: steady-state dispatch touches no allocator.
-    dora::Action* action = executor_->AcquireAction();
+    // Actions come from the executor's (or the threaded backend's) pool and
+    // carry fixed-width lock keys: steady-state dispatch touches no
+    // allocator.
+    dora::Action* action = threaded_ ? threaded_->AcquireAction()
+                                     : executor_->AcquireAction();
     action->xct = ctx.xct;
     action->rvp = &rvp;
     action->socket = ctx.socket;
@@ -1660,6 +1627,10 @@ sim::Task<Status> Engine::RunPhaseDora(Phase& phase, ExecContext& ctx) {
       ectx.core_held = !async;
       co_return co_await pstep->fn(ectx);
     };
+    if (threaded_) {
+      threaded_->Dispatch(action);
+      continue;
+    }
     // Dispatch cost (routing + enqueue + cross-socket hop) attributes to
     // the routing stage; queue wait starts once the action is enqueued.
     obs::TxnTimeline* tl = ctx.xct->timeline;

@@ -330,10 +330,11 @@ class Engine {
   /// Attaches (or detaches, with nullptr) the real-thread execution
   /// backend. While attached, every row/scan operation runs its one body
   /// with cost charges and simulated devices skipped, its shared
-  /// structures latched per table, and logging through the backend's
-  /// ThreadedWal. Works with paged and compact storage. Call after tables
-  /// are created and loaded; normally done by
-  /// exec::ThreadedBackend::Start()/Shutdown(). See docs/EXECUTION.md.
+  /// structures latched per table, and the XctManager logging to the
+  /// backend's ThreadedWal (log() stays the simulated log). Works with
+  /// paged and compact storage. Call after tables are created and loaded;
+  /// normally done by exec::ThreadedBackend::Start()/Shutdown(). See
+  /// docs/EXECUTION.md.
   void AttachThreadedBackend(exec::ThreadedBackend* backend);
   bool threaded() const { return threaded_ != nullptr; }
   exec::ThreadedBackend* threaded_backend() { return threaded_; }
@@ -347,6 +348,9 @@ class Engine {
   /// Charges CPU energy + breakdown without occupying a core (front-end /
   /// driver-side work).
   sim::Task<void> CpuWorkNoCore(double ns, hw::Component c);
+  /// Charges `t` of elapsed CPU time to the energy meter and component
+  /// `c`. Never on threads: both are plain counters.
+  void ChargeCpu(SimTime t, hw::Component c);
 
   /// Index probe timing for `levels` node visits (software cost model or
   /// hardware probe engine round trip). `key_bytes` sizes the comparator
@@ -354,7 +358,8 @@ class Engine {
   sim::Task<void> ProbeCost(ExecContext& ctx, int levels,
                             uint32_t key_bytes = 8);
 
-  /// Append to the WAL, charging elapsed time to the Log component.
+  /// Append to the WAL through the XctManager, charging elapsed time to
+  /// the Log component.
   sim::Task<Status> LogWriteTimed(ExecContext& ctx, wal::RecordType type,
                                   Table* table, Slice key, Slice redo,
                                   Slice undo);
@@ -371,8 +376,8 @@ class Engine {
   sim::Task<Result<Slice>> ReadPagedView(ExecContext& ctx, Table* table,
                                          Slice key);
 
-  /// Functional rollback of one undo entry (latched; the threaded
-  /// backend's abort path calls it too).
+  /// Functional rollback of one undo entry (latched): the applier both
+  /// backends hand to XctManager::Abort.
   void ApplyUndo(const txn::UndoEntry& entry);
 
   /// Abort helper shared by both execution paths.
@@ -380,6 +385,8 @@ class Engine {
   sim::Task<Status> CommitTxn(ExecContext& ctx, txn::Xct* xct);
   sim::Task<void> ReleaseAllLocks(txn::Xct* xct);
 
+  // The phase runners of both backends. On threads they never suspend:
+  // actions go to exec::ThreadedBackend's agents and the RVP blocks.
   sim::Task<Status> RunPhaseConventional(Phase& phase, ExecContext& ctx);
   sim::Task<Status> RunPhaseDora(Phase& phase, ExecContext& ctx);
   sim::Task<Status> RunAllPhases(TxnSpec& spec, ExecContext& ctx);

@@ -9,14 +9,9 @@
 
 #include "common/macros.h"
 #include "queueing/mpmc.h"
+#include "queueing/scheduler.h"
 
 namespace bionicdb::exec {
-
-/// Yields a waiting thread spends polling before it parks on a condvar.
-/// Shared by the mailbox's Pop and ThreadedRvp::Wait: parking an idle
-/// agent (or a client between phases) too early turns every hand-off into
-/// a futex wake and stalls the chain of queues behind it (paper §5.5).
-inline constexpr int kSpinYieldsBeforePark = 64;
 
 /// Bounded blocking queue for real threads. Producers are the client/driver
 /// threads dispatching actions and release messages; the single consumer is
@@ -57,7 +52,7 @@ class MpscBlockingQueue {
   /// registering in `sleepers_` (under the lock, behind a fence) closes the
   /// lost-wakeup window against Push's post-publish sleeper check.
   T Pop() {
-    for (int spin = 0; spin < kSpinYieldsBeforePark; ++spin) {
+    for (int spin = 0; spin < queueing::kSpinYieldsBeforePark; ++spin) {
       if (auto item = ring_.TryPop()) return std::move(*item);
       std::this_thread::yield();
     }

@@ -3,6 +3,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <deque>
 
 #include "common/hash.h"
@@ -102,7 +103,7 @@ void ThreadedBackend::HandleAction(dora::Partition& part,
   }
   if (lock == dora::LockOutcome::kDie) {
     wait_die_aborts_.fetch_add(1, std::memory_order_relaxed);
-    ThreadedRvp* rvp = action->trvp;
+    dora::Rvp* rvp = action->rvp;
     ReleaseAction(action);
     rvp->Arrive(Status::Aborted("wait-die on partition-local lock"));
     return;
@@ -111,11 +112,12 @@ void ThreadedBackend::HandleAction(dora::Partition& part,
   ctx.xct = action->xct;
   ctx.partition = &part;
   ctx.socket = action->socket;
-  // The body is a task chain that never suspends on simulator events (the
-  // engine's threaded paths are plain functions), so it completes inline.
+  // The body is a task chain that never suspends on threads (the engine's
+  // cost helpers return at once and its waits block), so it completes
+  // inline.
   Status st = sim::RunToCompletion(action->fn(ctx));
   actions_executed_.fetch_add(1, std::memory_order_relaxed);
-  ThreadedRvp* rvp = action->trvp;
+  dora::Rvp* rvp = action->rvp;
   // Release before Arrive: once the driver resumes it may destroy the
   // phase the action's body captured, so the action must already be reset.
   ReleaseAction(action);
@@ -135,124 +137,6 @@ void ThreadedBackend::Dispatch(dora::Action* action) {
   queues_[pid]->Push(msg);
 }
 
-Status ThreadedBackend::RunAllPhases(engine::Engine::TxnSpec& spec,
-                                     engine::Engine::ExecContext& ctx) {
-  const bool conventional =
-      engine_->config().mode == engine::EngineMode::kConventional;
-  for (engine::Engine::Phase& phase : spec.phases) {
-    Status st = conventional ? RunPhaseInline(phase, ctx)
-                             : RunPhaseDora(phase, ctx);
-    if (!st.ok()) return st;
-  }
-  if (spec.dynamic_phases) {
-    for (int i = 0;; ++i) {
-      engine::Engine::Phase phase;
-      if (!spec.dynamic_phases(i, &phase)) break;
-      Status st = conventional ? RunPhaseInline(phase, ctx)
-                               : RunPhaseDora(phase, ctx);
-      if (!st.ok()) return st;
-    }
-  }
-  return Status::OK();
-}
-
-Status ThreadedBackend::RunPhaseDora(engine::Engine::Phase& phase,
-                                     engine::Engine::ExecContext& ctx) {
-  const bool async = engine_->config().mode == engine::EngineMode::kBionic;
-  ThreadedRvp rvp(static_cast<int>(phase.size()));
-  for (engine::Engine::TxnStep& step : phase) {
-    dora::Action* action = AcquireAction();
-    action->xct = ctx.xct;
-    action->trvp = &rvp;
-    action->socket = ctx.socket;
-    action->shared_locks = step.read_only;
-    for (const std::string& key : step.keys) {
-      action->AddLockKey(engine::Engine::QualifiedKey(step.table, key));
-    }
-    action->SortLockKeys();
-    engine::Engine* self = engine_;
-    // The phase outlives every action (awaited below), so the body captures
-    // a step pointer and stays within ActionFn's inline storage — same
-    // shape as Engine::RunPhaseDora.
-    const engine::Engine::TxnStep* pstep = &step;
-    const int socket = ctx.socket;
-    action->fn = [self, pstep, socket,
-                  async](dora::ActionContext& actx) -> sim::Task<Status> {
-      engine::Engine::ExecContext ectx;
-      ectx.engine = self;
-      ectx.xct = actx.xct;
-      ectx.socket = socket;
-      ectx.core_held = !async;
-      co_return co_await pstep->fn(ectx);
-    };
-    Dispatch(action);
-  }
-  return rvp.Wait();
-}
-
-Status ThreadedBackend::RunPhaseInline(engine::Engine::Phase& phase,
-                                       engine::Engine::ExecContext& ctx) {
-  // Conventional mode: the caller holds conventional_mu_, which stands in
-  // for the 2PL lock manager (one transaction owns the whole database), so
-  // steps run inline with no per-row locking.
-  for (engine::Engine::TxnStep& step : phase) {
-    Status st = sim::RunToCompletion(step.fn(ctx));
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
-}
-
-wal::Lsn ThreadedBackend::AppendCommit(txn::Xct* xct) {
-  BIONICDB_CHECK(xct->state == txn::XctState::kActive);
-  if (!xct->begin_logged) {
-    // Read-only: nothing to make durable.
-    xct->state = txn::XctState::kCommitted;
-    read_only_commits_.fetch_add(1, std::memory_order_relaxed);
-    return wal::kInvalidLsn;
-  }
-  xct->state = txn::XctState::kCommitting;
-  wal::LogRecord rec;
-  rec.type = wal::RecordType::kCommit;
-  rec.txn_id = xct->id;
-  rec.prev_lsn = xct->last_lsn;
-  return wal_.Append(rec);
-}
-
-Status ThreadedBackend::FinishCommit(txn::Xct* xct, wal::Lsn commit_lsn) {
-  if (commit_lsn == wal::kInvalidLsn) return Status::OK();  // read-only
-  Status st = wal_.WaitDurable(commit_lsn + 1);
-  if (!st.ok()) return st;
-  xct->state = txn::XctState::kCommitted;
-  return Status::OK();
-}
-
-void ThreadedBackend::AbortTxn(txn::Xct* xct) {
-  BIONICDB_CHECK(xct->state == txn::XctState::kActive);
-  // Undo backwards, logging a CLR per reverted action — the mirror of
-  // XctManager::Abort. The transaction still holds its partition locks on
-  // every key it wrote, so the undo writes cannot race other transactions.
-  for (auto it = xct->undo_chain.rbegin(); it != xct->undo_chain.rend();
-       ++it) {
-    engine_->ApplyUndo(*it);
-    wal::LogRecord clr;
-    clr.type = wal::RecordType::kClr;
-    clr.txn_id = xct->id;
-    clr.table_id = it->table_id;
-    clr.prev_lsn = xct->last_lsn;
-    clr.key = it->key;
-    clr.redo = it->before;  // the CLR's redo is the restored before-image
-    xct->last_lsn = wal_.Append(clr);
-  }
-  if (xct->begin_logged) {
-    wal::LogRecord rec;
-    rec.type = wal::RecordType::kAbort;
-    rec.txn_id = xct->id;
-    rec.prev_lsn = xct->last_lsn;
-    xct->last_lsn = wal_.Append(rec);
-  }
-  xct->state = txn::XctState::kAborted;
-}
-
 void ThreadedBackend::ReleaseTxnLocks(txn::Xct* xct) {
   if (engine_->config().mode == engine::EngineMode::kConventional) return;
   // Safe to read held_locks without the mutex: every action has arrived
@@ -261,7 +145,8 @@ void ThreadedBackend::ReleaseTxnLocks(txn::Xct* xct) {
   uint64_t mask = 0;
   for (const auto& [pid, key] : xct->held_locks) mask |= uint64_t{1} << pid;
   if (mask == 0) return;
-  ThreadedRvp released(std::popcount(mask));
+  dora::Rvp released(engine_->simulator(), std::popcount(mask),
+                     /*threaded=*/true);
   for (uint32_t pid = 0; pid < partitions_.size(); ++pid) {
     if (((mask >> pid) & 1) == 0) continue;
     Msg msg;
@@ -272,7 +157,7 @@ void ThreadedBackend::ReleaseTxnLocks(txn::Xct* xct) {
   }
   // Synchronous: the Xct lives on this caller's stack, so the release must
   // not outlive Execute().
-  released.Wait();
+  (void)sim::RunToCompletion(released.Wait());
 }
 
 dora::Action* ThreadedBackend::AcquireAction() {
@@ -293,11 +178,11 @@ Status ThreadedBackend::Execute(engine::Engine::TxnSpec spec,
                                 uint64_t* priority) {
   BIONICDB_CHECK(started_);
   started_txns_.fetch_add(1, std::memory_order_relaxed);
+  txn::XctManager& xm = engine_->xct_manager();
   // The Xct lives on this driver's stack: ReleaseTxnLocks is synchronous
   // and all actions arrive before Execute returns, so nothing outlives it.
   txn::Xct xct;
-  xct.id = next_txn_.fetch_add(1, std::memory_order_relaxed);
-  xct.priority = xct.id;
+  xm.Begin(&xct);
   if (priority != nullptr) {
     if (*priority == 0) {
       *priority = xct.priority;
@@ -308,38 +193,24 @@ Status ThreadedBackend::Execute(engine::Engine::TxnSpec spec,
   engine::Engine::ExecContext ctx;
   ctx.engine = engine_;
   ctx.xct = &xct;
-  ctx.socket = 0;
-  ctx.core_held = false;
-
+  // Conventional mode serializes whole transactions on one mutex.
+  std::unique_lock<std::mutex> serial(conventional_mu_, std::defer_lock);
   if (engine_->config().mode == engine::EngineMode::kConventional) {
-    std::unique_lock<std::mutex> lk(conventional_mu_);
-    Status st = RunAllPhases(spec, ctx);
-    if (st.ok()) {
-      const wal::Lsn lsn = AppendCommit(&xct);
-      // Early lock release: the commit record is ordered in the log, so
-      // the global mutex can drop before the durability wait — that's what
-      // lets concurrent committers share one group-commit fsync.
-      lk.unlock();
-      st = FinishCommit(&xct, lsn);
-      if (st.ok()) {
-        commits_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        durability_failures_.fetch_add(1, std::memory_order_relaxed);
-        aborts_.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else {
-      if (st.IsIOError()) io_errors_.fetch_add(1, std::memory_order_relaxed);
-      AbortTxn(&xct);
-      lk.unlock();
-      aborts_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return st;
+    serial.lock();
   }
-
-  Status st = RunAllPhases(spec, ctx);
+  // The engine's coroutines never suspend on threads: each runs to
+  // completion here, blocking where the simulator would wait.
+  Status st = sim::RunToCompletion(engine_->RunAllPhases(spec, ctx));
   if (st.ok()) {
-    const wal::Lsn lsn = AppendCommit(&xct);
-    st = FinishCommit(&xct, lsn);
+    const wal::Lsn lsn = sim::RunToCompletion(xm.AppendCommitRecord(&xct, 0));
+    if (lsn == wal::kInvalidLsn) {
+      read_only_commits_.fetch_add(1, std::memory_order_relaxed);
+    }
+    // Early lock release: the commit record is ordered in the log, so the
+    // global mutex can drop before the durability wait — that's what lets
+    // concurrent committers share one group-commit fsync.
+    if (serial.owns_lock()) serial.unlock();
+    st = sim::RunToCompletion(xm.WaitCommitDurable(&xct, lsn));
     if (st.ok()) {
       commits_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -348,7 +219,11 @@ Status ThreadedBackend::Execute(engine::Engine::TxnSpec spec,
     }
   } else {
     if (st.IsIOError()) io_errors_.fetch_add(1, std::memory_order_relaxed);
-    AbortTxn(&xct);
+    // The transaction still holds its locks (or the global mutex) on every
+    // key it wrote, so the undo writes cannot race other transactions.
+    (void)sim::RunToCompletion(xm.Abort(
+        &xct, [this](const txn::UndoEntry& e) { engine_->ApplyUndo(e); },
+        0));
     aborts_.fetch_add(1, std::memory_order_relaxed);
   }
   // Locks release after durability, mirroring Engine::CommitTxn's ordering

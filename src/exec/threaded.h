@@ -1,12 +1,12 @@
 // ThreadedBackend: the real-thread execution backend. One std::thread agent
 // per DORA partition, real MPSC mailboxes, spin-then-park completions, a
-// real group-commit WAL whose committers lead their own flushes. Runs the
-// same engine/DORA/workload code as the simulator; the simulator remains
-// the determinism oracle (see docs/EXECUTION.md).
+// real group-commit WAL whose committers lead their own flushes. It is a
+// layer under the engine's one transaction protocol — the engine's
+// XctManager, phase runners and ops, the same DORA partition code — and the
+// simulator remains the determinism oracle (see docs/EXECUTION.md).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -25,63 +25,6 @@
 #include "queueing/mpmc.h"
 
 namespace bionicdb::exec {
-
-/// Real-thread completion: the client thread waits here for a phase's
-/// actions, or for its lock-release messages, to arrive from the partition
-/// agents. Mirrors dora::Rvp (first non-OK status wins). Wait() spins for
-/// kSpinYieldsBeforePark yields before it parks on the condvar, so a
-/// short phase hands control back without a futex round trip.
-///
-/// The waiter may destroy the completion as soon as Wait() returns (it
-/// lives on the client's stack). An arriver touches it only up to its
-/// decrement — unless that decrement is the last one and finds the waiter
-/// parked, in which case the arriver wakes it under the mutex the waiter
-/// must reacquire before it can return. The acq_rel decrement also carries
-/// the happens-before edge from each agent's writes (locks recorded on the
-/// Xct, undo entries, table mutations) to the client past Wait().
-class ThreadedRvp {
- public:
-  explicit ThreadedRvp(int count) : state_(static_cast<uint32_t>(count)) {}
-  BIONICDB_DISALLOW_COPY_AND_ASSIGN(ThreadedRvp);
-
-  void Arrive(Status st = Status::OK()) {
-    if (!st.ok()) {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (agg_.ok()) agg_ = std::move(st);
-    }
-    const uint32_t prev = state_.fetch_sub(1, std::memory_order_acq_rel);
-    if (prev != (kParked | 1)) return;  // not last, or waiter still spinning
-    std::lock_guard<std::mutex> lk(mu_);
-    woken_ = true;
-    cv_.notify_one();
-  }
-
-  Status Wait() {
-    for (int spin = 0; spin < kSpinYieldsBeforePark; ++spin) {
-      if (state_.load(std::memory_order_acquire) == 0) return agg_;
-      std::this_thread::yield();
-    }
-    std::unique_lock<std::mutex> lk(mu_);
-    // Flag the wait so the last arriver wakes us, unless it already came.
-    uint32_t s = state_.load(std::memory_order_acquire);
-    while (s != 0 && !state_.compare_exchange_weak(s, s | kParked,
-                                                   std::memory_order_acq_rel,
-                                                   std::memory_order_acquire)) {
-    }
-    if (s != 0) cv_.wait(lk, [&] { return woken_; });
-    return agg_;
-  }
-
- private:
-  /// Set in state_ by a waiter that has given up spinning.
-  static constexpr uint32_t kParked = 1u << 31;
-
-  std::atomic<uint32_t> state_;  // arrivals outstanding | kParked
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool woken_ = false;  // guarded by mu_
-  Status agg_;          // written under mu_, read by the waiter once done
-};
 
 /// Wall-clock run counters (the threaded analogue of engine::RunMetrics;
 /// the engine's own metrics/registry stay virtual-time-only).
@@ -104,10 +47,10 @@ struct ThreadedStats {
 ///
 /// Functional behavior matches the simulator backend exactly — same
 /// routing (Mix64 of the sorted first lock key), same wait-die policy via
-/// the shared dora::Partition code, same log-then-apply write protocol,
-/// same undo/CLR abort path — which is what the differential oracle test
-/// (tests/exec_backend_test.cc) pins down. Timing behavior is the host's:
-/// no cost model, no virtual clock.
+/// the shared dora::Partition code, and the engine's own phase runners and
+/// XctManager for logging, commit and undo/CLR abort — which is what the
+/// differential oracle test (tests/exec_backend_test.cc) pins down. Timing
+/// behavior is the host's: no cost model, no virtual clock.
 class ThreadedBackend {
  public:
   struct Config {
@@ -141,8 +84,8 @@ class ThreadedBackend {
 
   /// Spawns the partition agents and attaches this backend to the engine
   /// (its ops then skip cost charges and simulated devices, latch shared
-  /// structures and log to this backend's WAL). Call after tables are
-  /// created and loaded.
+  /// structures, and its XctManager logs to this backend's WAL). Call
+  /// after tables are created and loaded.
   void Start();
 
   /// Drains agents (all submitted transactions must have completed), joins
@@ -204,7 +147,7 @@ class ThreadedBackend {
   void ReleaseAction(dora::Action* action);
   /// Routes by the action's first (sorted) lock key — the same
   /// Mix64-of-hash modulo as dora::Executor — and enqueues it on the
-  /// owning partition's mailbox. The action must carry a trvp.
+  /// owning partition's mailbox. The action's rvp must be threaded.
   void Dispatch(dora::Action* action);
   /// Sends release messages to every partition holding locks for `xct` and
   /// blocks until all have processed them (the Xct may live on the caller's
@@ -234,27 +177,11 @@ class ThreadedBackend {
     Kind kind = Kind::kStop;
     dora::Action* action = nullptr;
     txn::Xct* release_xct = nullptr;
-    ThreadedRvp* released = nullptr;
+    dora::Rvp* released = nullptr;
   };
 
   void AgentLoop(uint32_t pid);
   void HandleAction(dora::Partition& part, dora::Action* action);
-
-  Status RunAllPhases(engine::Engine::TxnSpec& spec,
-                      engine::Engine::ExecContext& ctx);
-  Status RunPhaseDora(engine::Engine::Phase& phase,
-                      engine::Engine::ExecContext& ctx);
-  Status RunPhaseInline(engine::Engine::Phase& phase,
-                        engine::Engine::ExecContext& ctx);
-
-  /// Commit protocol, mirroring XctManager::AppendCommitRecord: returns
-  /// kInvalidLsn (and commits immediately) for read-only transactions.
-  wal::Lsn AppendCommit(txn::Xct* xct);
-  /// WaitCommitDurable mirror: waits for (or leads) the group-commit
-  /// flush that covers a write txn's commit record.
-  Status FinishCommit(txn::Xct* xct, wal::Lsn commit_lsn);
-  /// Abort mirror: reverse undo + CLR per entry + abort record.
-  void AbortTxn(txn::Xct* xct);
 
   engine::Engine* engine_;
   Config config_;
@@ -270,7 +197,6 @@ class ThreadedBackend {
   mutable std::mutex pool_mu_;
   std::vector<std::unique_ptr<dora::Action>> all_actions_;
 
-  std::atomic<uint64_t> next_txn_{1};
   /// Conventional mode: one global transaction mutex stands in for the
   /// 2PL lock manager (strict serial execution; see docs/EXECUTION.md).
   std::mutex conventional_mu_;

@@ -13,6 +13,13 @@
 
 namespace bionicdb::queueing {
 
+/// Yields a waiting real thread spends polling before it parks on a
+/// condvar — the threaded backend's spin-then-doze. Shared by its mailbox's
+/// Pop and dora::Rvp::Wait: parking an idle agent (or a client between
+/// phases) too early turns every hand-off into a futex wake and stalls the
+/// chain of queues behind it (paper §5.5).
+inline constexpr int kSpinYieldsBeforePark = 64;
+
 struct DozePolicy {
   int spin_polls = 4;        ///< Empty polls before dozing.
   SimTime poll_ns = 120;     ///< CPU cost of one empty poll.

@@ -40,7 +40,7 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterConfig& config)
         return shards;
       }()),
       router_(config.num_shards),
-      tpc_(RawShards(shards_), config.fanout_2pc),
+      tpc_(RawShards(shards_)),
       snapshot_reads_(config.snapshot_reads) {}
 
 sim::Task<Status> Cluster::Execute(ShardedTxn txn, int socket,

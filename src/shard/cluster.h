@@ -31,9 +31,6 @@ struct ClusterConfig {
   /// Template applied to every shard (partitions, mode, log device,
   /// compact storage, ... are per-shard).
   engine::EngineConfig engine;
-  /// Parallel 2PC branch fan-out (default). false = the PR 9 sequential
-  /// ascending-shard protocol, kept as the ablation baseline.
-  bool fanout_2pc = true;
   /// Route fully read-only cross-shard transactions through the
   /// prepare-free snapshot-read path instead of 2PC.
   bool snapshot_reads = true;

@@ -97,28 +97,9 @@ bool TwoPhaseCommit::IsReadOnlyTxn(const ShardedTxn& txn) {
   return true;
 }
 
-sim::Task<Status> TwoPhaseCommit::Run(ShardedTxn txn, int socket,
-                                      uint64_t* priority) {
-  BIONICDB_CHECK(txn.fragments.size() >= 2);
-  OrderFragments(&txn);
-  const uint64_t gtid = next_gtid_++;
-  ++stats_.started;
-  if (fanout_) {
-    co_return co_await RunFanout(std::move(txn), socket, gtid, priority);
-  }
-  co_return co_await RunSequential(std::move(txn), socket, gtid, priority);
-}
-
 sim::Task<void> TwoPhaseCommit::AbortAll(
     std::vector<engine::Engine::BranchHandle>* branches,
-    const ShardedTxn& txn, size_t n, bool parallel) {
-  if (!parallel) {
-    for (size_t i = 0; i < n; ++i) {
-      co_await shards_[static_cast<size_t>(txn.fragments[i].shard)]
-          ->FinishBranch(&(*branches)[i], /*commit=*/false);
-    }
-    co_return;
-  }
+    const ShardedTxn& txn, size_t n) {
   sim::Simulator* sim = shards_[0]->simulator();
   sim::Completion done(sim);
   int remaining = static_cast<int>(n) - 1;
@@ -134,9 +115,12 @@ sim::Task<void> TwoPhaseCommit::AbortAll(
   if (n > 1) co_await done.Wait();
 }
 
-sim::Task<Status> TwoPhaseCommit::RunFanout(ShardedTxn txn, int socket,
-                                            uint64_t gtid,
-                                            uint64_t* priority) {
+sim::Task<Status> TwoPhaseCommit::Run(ShardedTxn txn, int socket,
+                                      uint64_t* priority) {
+  BIONICDB_CHECK(txn.fragments.size() >= 2);
+  OrderFragments(&txn);
+  const uint64_t gtid = next_gtid_++;
+  ++stats_.started;
   const size_t n = txn.fragments.size();
   const int coord = txn.fragments[0].shard;
   sim::Simulator* sim = shards_[0]->simulator();
@@ -197,7 +181,7 @@ sim::Task<Status> TwoPhaseCommit::RunFanout(ShardedTxn txn, int socket,
       ++stats_.vote_failures;
     }
     ++stats_.aborted;
-    co_await AbortAll(&branches, txn, n, /*parallel=*/true);
+    co_await AbortAll(&branches, txn, n);
     co_return st;
   }
 
@@ -215,7 +199,7 @@ sim::Task<Status> TwoPhaseCommit::RunFanout(ShardedTxn txn, int socket,
     // The decision never became durable: presumed abort, cluster-wide.
     ++stats_.decision_failures;
     ++stats_.aborted;
-    co_await AbortAll(&branches, txn, n, /*parallel=*/true);
+    co_await AbortAll(&branches, txn, n);
     co_return st;
   }
 
@@ -248,94 +232,6 @@ sim::Task<Status> TwoPhaseCommit::RunFanout(ShardedTxn txn, int socket,
   for (const Status& fst : finish_sts) {
     if (!fst.ok()) all_durable = false;
   }
-  if (all_durable) {
-    co_await shards_[static_cast<size_t>(coord)]->LogCoordForget(gtid,
-                                                                 socket);
-    ++stats_.decisions_retired;
-  }
-  co_return Status::OK();
-}
-
-sim::Task<Status> TwoPhaseCommit::RunSequential(ShardedTxn txn, int socket,
-                                                uint64_t gtid,
-                                                uint64_t* priority) {
-  const size_t n = txn.fragments.size();
-  const int coord = txn.fragments[0].shard;
-  sim::Simulator* sim = shards_[0]->simulator();
-  uint64_t local_prio = 0;
-  uint64_t* prio = PinPriority(coord, priority, &local_prio);
-
-  std::vector<engine::Engine::BranchHandle> branches(n);
-  std::vector<SimTime> done_ts(n, 0);
-
-  // --- Execute: sequentially, ascending shard order (PR 9 baseline). ------
-  Status st = Status::OK();
-  size_t ran = 0;
-  for (size_t i = 0; i < n; ++i) {
-    ShardFragment& frag = txn.fragments[i];
-    st = co_await shards_[static_cast<size_t>(frag.shard)]->ExecuteBranch(
-        &branches[i], std::move(frag.spec), socket, prio);
-    done_ts[i] = sim->Now();
-    ++ran;
-    if (!st.ok()) break;
-  }
-  if (!st.ok()) {
-    ++stats_.exec_aborts;
-    ++stats_.aborted;
-    co_await AbortAll(&branches, txn, ran, /*parallel=*/false);
-    co_return st;
-  }
-  // Branch-join stall: own fragment done, later siblings still executing.
-  const SimTime exec_end = sim->Now();
-  for (size_t i = 0; i < n; ++i) {
-    if (branches[i].tl != nullptr) {
-      branches[i].tl->Charge(obs::Stage::kTwoPCExec, exec_end - done_ts[i]);
-    }
-  }
-
-  // --- Phase 1: durable yes-votes, sequential. ----------------------------
-  for (size_t i = 0; i < n; ++i) {
-    st = co_await shards_[static_cast<size_t>(txn.fragments[i].shard)]
-             ->PrepareBranch(&branches[i], gtid);
-    if (!st.ok()) break;
-  }
-  if (!st.ok()) {
-    ++stats_.vote_failures;
-    ++stats_.aborted;
-    co_await AbortAll(&branches, txn, n, /*parallel=*/false);
-    co_return st;
-  }
-
-  // --- Decision: durable on the coordinator before ANY branch commits. ----
-  const SimTime decision0 = sim->Now();
-  st = co_await shards_[static_cast<size_t>(coord)]->LogCoordCommit(
-      &branches[0], gtid);
-  const SimTime decision_ts = sim->Now();
-  for (size_t i = 1; i < n; ++i) {
-    if (branches[i].tl != nullptr) {
-      branches[i].tl->Charge(obs::Stage::kTwoPCDecision,
-                             decision_ts - decision0);
-    }
-  }
-  if (!st.ok()) {
-    ++stats_.decision_failures;
-    ++stats_.aborted;
-    co_await AbortAll(&branches, txn, n, /*parallel=*/false);
-    co_return st;
-  }
-
-  // --- Phase 2: local commits, sequential. --------------------------------
-  bool all_durable = true;
-  for (size_t i = 0; i < n; ++i) {
-    if (branches[i].tl != nullptr) {
-      branches[i].tl->Charge(obs::Stage::kTwoPCFinish,
-                             sim->Now() - decision_ts);
-    }
-    Status fst = co_await shards_[static_cast<size_t>(txn.fragments[i].shard)]
-                     ->FinishBranch(&branches[i], /*commit=*/true);
-    if (!fst.ok()) all_durable = false;
-  }
-  ++stats_.committed;
   if (all_durable) {
     co_await shards_[static_cast<size_t>(coord)]->LogCoordForget(gtid,
                                                                  socket);
@@ -396,7 +292,7 @@ sim::Task<Status> TwoPhaseCommit::RunSnapshotRead(ShardedTxn txn, int socket,
   }
   if (!st.ok()) {
     ++snap_stats_.aborted;
-    co_await AbortAll(&branches, txn, n, /*parallel=*/true);
+    co_await AbortAll(&branches, txn, n);
     co_return st;
   }
 

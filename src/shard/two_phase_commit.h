@@ -31,7 +31,7 @@
 //               through its own local kCommit, so CollectDecisions drops
 //               the gtid. Losing the marker only delays retirement.
 //
-// Deadlock safety without the old sequential ascending-shard order: all
+// Deadlock safety without a sequential ascending-shard order: all
 // branches share one pinned wait-die priority, and wait-die only ever
 // blocks an OLDER (lower-priority-number) waiter behind a YOUNGER holder
 // — a younger waiter dies instead. Any hold-and-wait cycle across shards
@@ -93,13 +93,9 @@ struct SnapshotReadStats {
 
 class TwoPhaseCommit {
  public:
-  /// `shards[i]` must be the engine for shard id i. `fanout` selects
-  /// parallel branch execution (default); false keeps the PR 9 sequential
-  /// ascending-shard protocol — same commit outcome and same WAL record
-  /// set, retained as the ablation baseline and as a determinism oracle.
-  explicit TwoPhaseCommit(std::vector<engine::Engine*> shards,
-                          bool fanout = true)
-      : shards_(std::move(shards)), fanout_(fanout) {}
+  /// `shards[i]` must be the engine for shard id i.
+  explicit TwoPhaseCommit(std::vector<engine::Engine*> shards)
+      : shards_(std::move(shards)) {}
 
   /// Runs one distributed transaction (>= 2 fragments on distinct
   /// shards) to a cluster-wide commit or abort. `priority` follows the
@@ -120,8 +116,6 @@ class TwoPhaseCommit {
   /// has dynamic phases, whose shape — and writes — are unknown up front).
   static bool IsReadOnlyTxn(const ShardedTxn& txn);
 
-  bool fanout() const { return fanout_; }
-
   const TwoPhaseCommitStats& stats() const { return stats_; }
   const SnapshotReadStats& snap_stats() const { return snap_stats_; }
   void ResetStats() {
@@ -135,16 +129,11 @@ class TwoPhaseCommit {
   /// Pins the shared wait-die priority before any branch races to Begin().
   uint64_t* PinPriority(int coord, uint64_t* priority, uint64_t* local);
 
-  sim::Task<Status> RunFanout(ShardedTxn txn, int socket, uint64_t gtid,
-                              uint64_t* priority);
-  sim::Task<Status> RunSequential(ShardedTxn txn, int socket, uint64_t gtid,
-                                  uint64_t* priority);
-  /// Aborts every branch in `branches[0..n)` (fan-out mode: concurrently).
+  /// Aborts every branch in `branches[0..n)`, concurrently.
   sim::Task<void> AbortAll(std::vector<engine::Engine::BranchHandle>* branches,
-                           const ShardedTxn& txn, size_t n, bool parallel);
+                           const ShardedTxn& txn, size_t n);
 
   std::vector<engine::Engine*> shards_;
-  bool fanout_;
   uint64_t next_gtid_ = 1;
   TwoPhaseCommitStats stats_;
   SnapshotReadStats snap_stats_;

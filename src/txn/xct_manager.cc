@@ -20,10 +20,14 @@ const char* XctStateName(XctState s) {
 
 std::unique_ptr<Xct> XctManager::Begin() {
   auto xct = std::make_unique<Xct>();
-  xct->id = next_txn_++;
-  xct->priority = EncodePriority(xct->id);
-  ++stats_.started;
+  Begin(xct.get());
   return xct;
+}
+
+void XctManager::Begin(Xct* xct) {
+  xct->id = NextId();
+  xct->priority = EncodePriority(xct->id);
+  Bump(stats_.started);
 }
 
 sim::Task<Status> XctManager::EnsureBeginLogged(Xct* xct, int socket) {
@@ -38,10 +42,9 @@ sim::Task<Status> XctManager::EnsureBeginLogged(Xct* xct, int socket) {
 }
 
 sim::Task<Status> XctManager::LogWrite(Xct* xct, wal::RecordType type,
-                                       uint32_t table_id,
-                                       const std::string& key,
-                                       const std::string& redo,
-                                       const std::string& undo, int socket) {
+                                       uint32_t table_id, std::string key,
+                                       std::string redo, std::string undo,
+                                       int socket) {
   BIONICDB_CHECK(xct->state == XctState::kActive);
   co_await EnsureBeginLogged(xct, socket);
   wal::LogRecord rec;
@@ -50,14 +53,14 @@ sim::Task<Status> XctManager::LogWrite(Xct* xct, wal::RecordType type,
   rec.table_id = table_id;
   rec.prev_lsn = xct->last_lsn;
   rec.key = key;
-  rec.redo = redo;
+  rec.redo = std::move(redo);
   rec.undo = undo;
   xct->last_lsn = co_await log_->Append(std::move(rec), socket);
   UndoEntry entry;
   entry.type = type;
   entry.table_id = table_id;
-  entry.key = key;
-  entry.before = undo;
+  entry.key = std::move(key);
+  entry.before = std::move(undo);
   xct->undo_chain.push_back(std::move(entry));
   co_return Status::OK();
 }
@@ -72,8 +75,8 @@ sim::Task<wal::Lsn> XctManager::AppendCommitRecord(Xct* xct, int socket) {
   if (!xct->begin_logged) {
     // Read-only: nothing to make durable.
     xct->state = XctState::kCommitted;
-    ++stats_.committed;
-    ++stats_.read_only_commits;
+    Bump(stats_.committed);
+    Bump(stats_.read_only_commits);
     co_return wal::kInvalidLsn;
   }
   xct->state = XctState::kCommitting;
@@ -90,7 +93,7 @@ sim::Task<Status> XctManager::WaitCommitDurable(Xct* xct,
   Status st = co_await log_->WaitDurable(commit_lsn + 1);
   if (!st.ok()) co_return st;
   xct->state = XctState::kCommitted;
-  ++stats_.committed;
+  Bump(stats_.committed);
   co_return Status::OK();
 }
 
@@ -110,7 +113,7 @@ sim::Task<wal::Lsn> XctManager::AppendPrepareRecord(Xct* xct, uint64_t gtid,
   rec.prev_lsn = xct->last_lsn;
   rec.key = wal::EncodeGtid(gtid);
   xct->last_lsn = co_await log_->Append(std::move(rec), socket);
-  ++stats_.prepared;
+  Bump(stats_.prepared);
   co_return xct->last_lsn;
 }
 
@@ -126,7 +129,7 @@ sim::Task<Status> XctManager::LogCommitDecision(uint64_t gtid, int socket) {
   rec.prev_lsn = wal::kInvalidLsn;
   const wal::Lsn lsn = co_await log_->Append(std::move(rec), socket);
   Status st = co_await log_->WaitDurable(lsn + 1);
-  if (st.ok()) ++stats_.decisions_logged;
+  if (st.ok()) Bump(stats_.decisions_logged);
   co_return st;
 }
 
@@ -138,17 +141,18 @@ sim::Task<Status> XctManager::LogForgetDecision(uint64_t gtid, int socket) {
   co_await log_->Append(std::move(rec), socket);
   // No WaitDurable: the marker is advisory. If it never becomes durable the
   // kCoordCommit it retires simply stays live across the next recovery.
-  ++stats_.decisions_retired;
+  Bump(stats_.decisions_retired);
   co_return Status::OK();
 }
 
 sim::Task<Status> XctManager::Abort(Xct* xct, const UndoApplier& applier,
                                     int socket) {
   BIONICDB_CHECK(xct->state == XctState::kActive);
-  // Undo backwards, logging a CLR per reverted action.
+  // Undo backwards, logging a CLR per reverted logged action.
   for (auto it = xct->undo_chain.rbegin(); it != xct->undo_chain.rend();
        ++it) {
     applier(*it);
+    if (!it->index_name.empty()) continue;  // never logged: no compensation
     wal::LogRecord clr;
     clr.type = wal::RecordType::kClr;
     clr.txn_id = xct->id;
@@ -166,7 +170,7 @@ sim::Task<Status> XctManager::Abort(Xct* xct, const UndoApplier& applier,
     xct->last_lsn = co_await log_->Append(std::move(rec), socket);
   }
   xct->state = XctState::kAborted;
-  ++stats_.aborted;
+  Bump(stats_.aborted);
   co_return Status::OK();
 }
 

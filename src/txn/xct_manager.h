@@ -1,8 +1,12 @@
 // XctManager: transaction lifecycle — id allocation, WAL integration
 // (lazy Begin, write logging with undo capture, group-committed Commit,
-// CLR-producing Abort).
+// CLR-producing Abort). One manager serves an engine on both backends: the
+// threaded backend points it at its own log (set_log) and calls it from
+// many threads, so its id counter is atomic and its stats counters take
+// relaxed atomic increments.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -33,13 +37,15 @@ class XctManager {
   /// Starts a transaction. No log record yet (written lazily on first
   /// write — read-only transactions never touch the log).
   std::unique_ptr<Xct> Begin();
+  /// Begin() into a fresh caller-owned descriptor.
+  void Begin(Xct* xct);
 
   /// Logs a forward operation and records its undo entry. `redo` is the
-  /// after-image, `undo` the before-image.
+  /// after-image, `undo` the before-image. On threads the caller holds the
+  /// transaction's mutex (its actions share the LSN and undo chains).
   sim::Task<Status> LogWrite(Xct* xct, wal::RecordType type,
-                             uint32_t table_id, const std::string& key,
-                             const std::string& redo, const std::string& undo,
-                             int socket);
+                             uint32_t table_id, std::string key,
+                             std::string redo, std::string undo, int socket);
 
   /// Commits: appends the commit record and waits for durability (group
   /// commit). Read-only transactions commit without logging.
@@ -53,8 +59,9 @@ class XctManager {
   sim::Task<Status> WaitCommitDurable(Xct* xct, wal::Lsn commit_lsn);
 
   /// Aborts: applies the undo chain backwards through `applier` (which
-  /// must functionally revert the operation), logging a CLR per undo and a
-  /// final abort record. Abort needs no durability wait.
+  /// must functionally revert the operation), logging a CLR per logged
+  /// undo entry — secondary-index entries were never logged and get none —
+  /// and a final abort record. Abort needs no durability wait.
   using UndoApplier = std::function<void(const UndoEntry&)>;
   sim::Task<Status> Abort(Xct* xct, const UndoApplier& applier, int socket);
 
@@ -90,7 +97,7 @@ class XctManager {
   /// Begin() on their home shards. Consumes a transaction id, so the
   /// priority is unique within this manager's domain slice (see
   /// SetPriorityDomain).
-  uint64_t DrawPriority() { return EncodePriority(next_txn_++); }
+  uint64_t DrawPriority() { return EncodePriority(NextId()); }
 
   /// Makes this manager's priorities globally unique across a cluster:
   /// every priority it hands out (Begin() and DrawPriority()) becomes
@@ -108,17 +115,27 @@ class XctManager {
     prio_offset_ = offset;
   }
 
+  /// Read it only while no transaction is in flight on threads.
   const XctManagerStats& stats() const { return stats_; }
   wal::LogManager* log() { return log_; }
+  /// Redirects every later record to `log`. Call only while no
+  /// transaction is in flight.
+  void set_log(wal::LogManager* log) { log_ = log; }
 
  private:
+  static void Bump(uint64_t& counter) {
+    std::atomic_ref<uint64_t>(counter).fetch_add(1,
+                                                 std::memory_order_relaxed);
+  }
+
   sim::Task<Status> EnsureBeginLogged(Xct* xct, int socket);
+  TxnId NextId() { return next_txn_.fetch_add(1, std::memory_order_relaxed); }
   uint64_t EncodePriority(TxnId id) const {
     return id * prio_stride_ + prio_offset_;
   }
 
   wal::LogManager* log_;
-  TxnId next_txn_ = 1;
+  std::atomic<TxnId> next_txn_{1};
   uint64_t prio_stride_ = 1;  ///< See SetPriorityDomain.
   uint64_t prio_offset_ = 0;
   XctManagerStats stats_;

@@ -27,6 +27,8 @@ Lsn LogManager::AppendToBuffer(const LogRecord& rec) {
 }
 
 sim::Task<Status> LogManager::WaitDurable(Lsn lsn) {
+  std::unique_lock<std::mutex> latch = Latch();
+  if (durable_lsn_ < lsn) ++stats_.group_commit_waits;
   // Group commit, leader/follower: the first waiter with undurable data
   // flushes everything appended so far; others ride along (or re-loop if
   // their records landed after the leader's snapshot).
@@ -35,7 +37,11 @@ sim::Task<Status> LogManager::WaitDurable(Lsn lsn) {
     // fired), no LSN above the durable prefix will ever become durable.
     if (!device_error_.ok()) co_return device_error_;
     if (flush_in_progress_) {
-      co_await flush_cv_.Wait();
+      if (latch.owns_lock()) {
+        WaitFlushDone(latch);
+      } else {
+        co_await flush_cv_.Wait();
+      }
       continue;
     }
     flush_in_progress_ = true;
@@ -51,9 +57,13 @@ sim::Task<Status> LogManager::WaitDurable(Lsn lsn) {
     }
     const uint64_t bytes = target - durable_lsn_;
     Status flush = Status::OK();
-    const SimTime flush_start = sim_->Now();
+    const SimTime flush_start = tracer_ != nullptr ? sim_->Now() : 0;
     if (bytes > 0) {
+      // Appends and new followers go on while the device works.
+      if (latch.owns_lock()) latch.unlock();
       flush = co_await FlushWithRetry(bytes);
+      latch = Latch();
+      if (flush.ok() && !device_error_.ok()) flush = device_error_;
     }
     if (tracer_ != nullptr && bytes > 0) {
       tracer_->Complete(trace_track_, trace_flush_, trace_cat_, flush_start,
@@ -77,6 +87,7 @@ sim::Task<Status> LogManager::WaitDurable(Lsn lsn) {
     }
     flush_in_progress_ = false;
     flush_cv_.NotifyAll();
+    NotifyFlushDone();
     if (!flush.ok()) co_return flush;
   }
   co_return Status::OK();

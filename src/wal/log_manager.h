@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/macros.h"
@@ -32,6 +33,9 @@ struct LogStats {
   SimTime flush_backoff_ns = 0; ///< Virtual time spent backing off.
   uint64_t append_retries = 0;  ///< HW insert path re-submissions.
   uint64_t append_errors = 0;   ///< HW inserts that failed past retries.
+  /// WaitDurable calls that found their LSN not yet durable. Only such a
+  /// call leads a flush, and at most one, so flushes <= group_commit_waits.
+  uint64_t group_commit_waits = 0;
 };
 
 /// Bounded-retry policy for device flushes: exponential backoff in virtual
@@ -45,6 +49,11 @@ struct RetryPolicy {
 /// Common WAL interface. Append orders a record in the log buffer (and
 /// resumes — asynchronously w.r.t. durability); WaitDurable implements
 /// group commit. The serialized byte stream is exposed for recovery.
+///
+/// The simulated logs below run on the simulator's one thread.
+/// exec::ThreadedWal runs the same buffer, framing and group commit on real
+/// threads through the latch-and-wait seam (Latch, WaitFlushDone,
+/// NotifyFlushDone), which is empty here.
 class LogManager {
  public:
   explicit LogManager(sim::Simulator* sim) : sim_(sim), flush_cv_(sim) {}
@@ -101,6 +110,18 @@ class LogManager {
   /// times, backing off exponentially in virtual time between attempts.
   sim::Task<Status> FlushWithRetry(uint64_t bytes);
 
+  // ---- real-thread seam ---------------------------------------------------
+  // On the simulator the latch is empty and a group-commit follower
+  // suspends on flush_cv_. A log that runs on real threads returns its
+  // held mutex from Latch(): WaitDurable then keeps it except around the
+  // device flush, and a follower blocks in WaitFlushDone() until the
+  // leader's NotifyFlushDone().
+  virtual std::unique_lock<std::mutex> Latch() { return {}; }
+  virtual void WaitFlushDone(std::unique_lock<std::mutex>& latch) {
+    (void)latch;
+  }
+  virtual void NotifyFlushDone() {}
+
   sim::Simulator* sim_;
   std::string buffer_;
   Lsn durable_lsn_ = 0;
@@ -118,6 +139,7 @@ class LogManager {
   uint8_t trace_fault_cat_ = 0;
   /// Sticky: set when a flush is abandoned (retry budget exhausted or
   /// injected crash); every later WaitDurable above durable_lsn_ fails.
+  /// A flush that finds it set when it completes does not count.
   Status device_error_;
 };
 

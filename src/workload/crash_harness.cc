@@ -1,7 +1,9 @@
 #include "workload/crash_harness.h"
 
 #include <memory>
+#include <set>
 #include <sstream>
+#include <tuple>
 #include <unordered_set>
 
 #include "common/parallel_for.h"
@@ -159,11 +161,31 @@ void CrashHarness::EnsureRan() {
   BIONICDB_CHECK(parsed.ok());
   records_ = std::move(parsed.value());
   offsets_.reserve(records_.size());
+  // (txn, table, key) of every logged forward write, for the CLR check.
+  std::set<std::tuple<uint64_t, uint32_t, std::string>> written;
   for (const wal::LogRecord& r : records_) {
     // Quiescent checkpoints change what recovery replays; this oracle does
     // not model them, and no workload run here takes one.
     BIONICDB_CHECK(r.type != wal::RecordType::kCheckpoint);
     offsets_.push_back(static_cast<size_t>(r.lsn));
+    switch (r.type) {
+      case wal::RecordType::kInsert:
+      case wal::RecordType::kUpdate:
+      case wal::RecordType::kDelete:
+        written.emplace(r.txn_id, r.table_id, r.key);
+        break;
+      case wal::RecordType::kClr:
+        // A CLR compensates a write its own transaction logged earlier.
+        BIONICDB_CHECK_MSG(written.count({r.txn_id, r.table_id, r.key}) != 0,
+                           "CLR at LSN %llu: txn %llu never logged a write "
+                           "to table %u under that key",
+                           static_cast<unsigned long long>(r.lsn),
+                           static_cast<unsigned long long>(r.txn_id),
+                           r.table_id);
+        break;
+      default:
+        break;
+    }
   }
 }
 

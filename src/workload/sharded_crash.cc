@@ -20,7 +20,6 @@ shard::ClusterConfig HarnessClusterConfig(const ShardedCrashConfig& cfg) {
   cc.num_shards = cfg.num_shards;
   cc.engine = engine::EngineConfig::Dora();
   cc.engine.num_partitions = 4;
-  cc.fanout_2pc = cfg.fanout;
   return cc;
 }
 

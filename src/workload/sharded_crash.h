@@ -35,10 +35,6 @@ struct ShardedCrashConfig {
   int txns = 300;                ///< Measured transactions, all clients.
   uint64_t seed = 1;
   SimTime sample_every_ns = 200000;  ///< Crash-point sampling period.
-  /// Parallel 2PC branch fan-out (default). With fan-out, sampled cuts
-  /// land inside windows where several branches' prepares or commits are
-  /// in flight concurrently; false replays the sequential PR 9 protocol.
-  bool fanout = true;
 };
 
 /// One consistent cluster-wide crash point: shard i's log survives up to

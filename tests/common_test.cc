@@ -1,9 +1,8 @@
-// Unit tests for src/common: Status/Result, Slice, RNG/Zipfian, Histogram,
+// Unit tests for src/common: Status/Result, Slice, RNG, Histogram,
 // CRC32C.
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -198,24 +197,6 @@ TEST(RngTest, NURandStaysInRange) {
     EXPECT_GE(v, 0);
     EXPECT_LE(v, 999);
   }
-}
-
-TEST(ZipfianTest, SkewsTowardLowIds) {
-  ZipfianGenerator zipf(1000, 0.99, 5);
-  std::map<uint64_t, int> counts;
-  const int kDraws = 20000;
-  for (int i = 0; i < kDraws; ++i) counts[zipf.Next()]++;
-  // Item 0 must be far more popular than the median item.
-  EXPECT_GT(counts[0], kDraws / 100);
-  int tail = 0;
-  for (auto& [k, v] : counts)
-    if (k >= 500) tail += v;
-  EXPECT_LT(tail, kDraws / 4);  // the top half of ids gets < 25% of draws
-}
-
-TEST(ZipfianTest, AllDrawsInRange) {
-  ZipfianGenerator zipf(50, 0.8, 3);
-  for (int i = 0; i < 5000; ++i) EXPECT_LT(zipf.Next(), 50u);
 }
 
 TEST(RandomPermutationTest, IsAPermutation) {

@@ -144,17 +144,17 @@ TEST(DispatchAllocTest, ThreadedSteadyStateCycleIsAllocationFree) {
     if (i == kWarmup) steady = bench::AllocCount();
     xct.id = i + 1;
     xct.priority = i + 1;
-    exec::ThreadedRvp rvp(1);
+    dora::Rvp rvp(&sim, 1, /*threaded=*/true);
     dora::Action* a = backend.AcquireAction();
     a->xct = &xct;
-    a->trvp = &rvp;
+    a->rvp = &rvp;
     a->socket = 0;
     a->AddLockKey(Slice(keys[i % keys.size()]));
     a->fn = [](dora::ActionContext&) -> sim::Task<Status> {
       co_return Status::OK();
     };
     backend.Dispatch(a);
-    Status st = rvp.Wait();
+    Status st = sim::RunToCompletion(rvp.Wait());
     BIONICDB_CHECK(st.ok());
     backend.ReleaseTxnLocks(&xct);
   }
@@ -238,17 +238,17 @@ TEST(DispatchAllocTest, ThreadedFreshKeyCycleIsAllocationFree) {
     if (i == kWarmup) steady = bench::AllocCount();
     xct.id = i + 1;
     xct.priority = i + 1;
-    exec::ThreadedRvp rvp(1);
+    dora::Rvp rvp(&sim, 1, /*threaded=*/true);
     dora::Action* a = backend.AcquireAction();
     a->xct = &xct;
-    a->trvp = &rvp;
+    a->rvp = &rvp;
     char key[16];
     a->AddLockKey(FreshPairKey(i, key));
     a->fn = [](dora::ActionContext&) -> sim::Task<Status> {
       co_return Status::OK();
     };
     backend.Dispatch(a);
-    Status st = rvp.Wait();
+    Status st = sim::RunToCompletion(rvp.Wait());
     BIONICDB_CHECK(st.ok());
     backend.ReleaseTxnLocks(&xct);
   }

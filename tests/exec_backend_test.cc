@@ -1,27 +1,30 @@
 // Differential tests: the threaded execution backend against the simulator
 // as determinism oracle (docs/EXECUTION.md). The same workload stream on
-// the same seed must produce the same per-transaction status codes and the
-// same final table contents on both backends, for every engine mode and
-// both storage forms (paged and compact); a concurrent threaded run must
-// match a WAL-replay reconstruction; the scan and maintenance ops must
-// agree across backends; and the crash harness must never find an
-// acknowledged commit missing from the durable log. The substrate's own
-// pieces — the leader/follower group commit, the spin-then-park
-// completion and the mailbox wakeup protocol — get targeted cases of
-// their own.
+// the same seed must produce the same per-transaction status codes, the
+// same log records per transaction and the same final table contents on
+// both backends, for every engine mode and both storage forms (paged and
+// compact); a concurrent threaded run must match a WAL-replay
+// reconstruction; the scan and maintenance ops must agree across backends;
+// and the crash harness must never find an acknowledged commit missing
+// from the durable log. The substrate's own pieces — the leader/follower
+// group commit, the spin-then-park completion and the mailbox wakeup
+// protocol — get targeted cases of their own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "engine/engine.h"
@@ -139,7 +142,41 @@ std::vector<TableDump> DumpTables(Engine& engine) {
 struct SeqResult {
   std::vector<int> codes;  ///< Status code per transaction, in order.
   std::vector<TableDump> tables;
+  std::string log;  ///< The whole record stream.
 };
+
+/// A log's records grouped by transaction id, each group as a sorted list
+/// of (type, table id, key, redo, undo). LSNs stay out: on threads the
+/// actions of one phase append in host order.
+using TxnRecords = std::map<
+    uint64_t,
+    std::vector<std::tuple<int, uint32_t, std::string, std::string,
+                           std::string>>>;
+
+TxnRecords RecordsByTxn(const std::string& stream) {
+  auto parsed = wal::ParseLogStream(Slice(stream));
+  EXPECT_TRUE(parsed.ok());
+  TxnRecords groups;
+  if (!parsed.ok()) return groups;
+  for (const wal::LogRecord& r : *parsed) {
+    groups[r.txn_id].emplace_back(static_cast<int>(r.type), r.table_id,
+                                  r.key, r.redo, r.undo);
+  }
+  for (auto& [txn, records] : groups) {
+    std::sort(records.begin(), records.end());
+  }
+  return groups;
+}
+
+/// Both backends wrote the same records; serial (Conventional) execution
+/// also orders them identically.
+void ExpectSameLog(const std::string& simulated, const std::string& threaded,
+                   EngineMode mode) {
+  EXPECT_EQ(RecordsByTxn(simulated), RecordsByTxn(threaded));
+  if (mode == EngineMode::kConventional) {
+    EXPECT_EQ(simulated, threaded);
+  }
+}
 
 sim::Task<void> DriveSimTatp(Engine* eng, TatpWorkload* w, int n,
                              std::vector<int>* codes) {
@@ -164,6 +201,7 @@ SeqResult RunSimTatp(const EngineConfig& config, uint64_t seed, int n) {
   sim.Spawn(DriveSimTatp(&engine, &tatp, n, &r.codes));
   sim.Run();
   r.tables = DumpTables(engine);
+  r.log = engine.log()->buffer();
   return r;
 }
 
@@ -186,16 +224,17 @@ SeqResult RunThreadedTatp(const EngineConfig& config, uint64_t seed,
     Status st = backend.Execute(tatp.NextTransaction(), &priority);
     r.codes.push_back(static_cast<int>(st.code()));
   }
-  backend.Shutdown();
+  backend.Shutdown();  // final flush: DurablePrefix() is the whole stream
   r.tables = DumpTables(engine);
+  r.log = backend.wal().DurablePrefix();
   return r;
 }
 
 class BackendModeTest : public ::testing::TestWithParam<OracleCase> {};
 
 // The determinism-oracle contract, sequentially: same seed, same workload
-// stream -> identical status codes and identical final table contents on
-// both backends. Three seeds per case.
+// stream -> identical status codes, log records and final table contents
+// on both backends. Three seeds per case.
 TEST_P(BackendModeTest, TatpSequentialMatchesSimulator) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     SeqResult simulated = RunSimTatp(ConfigFor(GetParam()), seed, 200);
@@ -206,6 +245,8 @@ TEST_P(BackendModeTest, TatpSequentialMatchesSimulator) {
       EXPECT_EQ(simulated.tables[t], threaded.tables[t])
           << "seed " << seed << " table " << t;
     }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectSameLog(simulated.log, threaded.log, ModeOf(GetParam()));
   }
 }
 
@@ -258,6 +299,8 @@ TEST_P(BackendModeTest, TpccSequentialMatchesSimulator) {
   for (size_t t = 0; t < a.size(); ++t) {
     EXPECT_EQ(a[t], b[t]) << "table " << t;
   }
+  ExpectSameLog(sim_engine.log()->buffer(), backend.wal().DurablePrefix(),
+                ModeOf(GetParam()));
 }
 
 // Concurrent runs are not deterministic, so the oracle shifts: replay the
@@ -589,7 +632,8 @@ TEST(ExecBackendCrashTest, CrashDuringLeaderFlushFailsLeaderAndFollowers) {
     wal::LogRecord rec;
     rec.type = wal::RecordType::kCommit;
     rec.txn_id = static_cast<uint64_t>(i + 1);
-    results[i] = wal.WaitDurable(wal.Append(rec) + 1);
+    const wal::Lsn lsn = sim::RunToCompletion(wal.Append(rec, 0));
+    results[i] = sim::RunToCompletion(wal.WaitDurable(lsn + 1));
   };
   auto wait_for_waiters = [&](uint64_t n) {
     while (wal.stats().group_commit_waits < n) std::this_thread::yield();
@@ -609,7 +653,8 @@ TEST(ExecBackendCrashTest, CrashDuringLeaderFlushFailsLeaderAndFollowers) {
   EXPECT_EQ(wal.durable_lsn(), 0u);
   EXPECT_EQ(wal.stats().flushes, 0u);
   EXPECT_TRUE(wal.DurablePrefix().empty());
-  EXPECT_TRUE(wal.WaitDurable(wal.current_lsn()).IsIOError());
+  EXPECT_TRUE(
+      sim::RunToCompletion(wal.WaitDurable(wal.current_lsn())).IsIOError());
 }
 
 // With one client nobody can ride another committer's flush, so each write
@@ -705,7 +750,7 @@ TEST(ThreadedRvpTest, DestroyedAsSoonAsWaitReturns) {
   constexpr int kAgents = 4;
   constexpr int kRounds = 3000;
   struct Job {
-    ThreadedRvp* rvp = nullptr;
+    dora::Rvp* rvp = nullptr;
     int round = 0;
   };
   std::vector<std::unique_ptr<MpscBlockingQueue<Job>>> mailboxes;
@@ -730,9 +775,10 @@ TEST(ThreadedRvpTest, DestroyedAsSoonAsWaitReturns) {
     });
   }
   for (int round = 0; round < kRounds; ++round) {
-    ThreadedRvp rvp(kAgents);
+    dora::Rvp rvp(nullptr, kAgents, /*threaded=*/true);
     for (int a = 0; a < kAgents; ++a) mailboxes[a]->Push(Job{&rvp, round});
-    EXPECT_EQ(rvp.Wait().IsAborted(), round % 5 == 0) << "round " << round;
+    EXPECT_EQ(sim::RunToCompletion(rvp.Wait()).IsAborted(), round % 5 == 0)
+        << "round " << round;
   }
   for (auto& m : mailboxes) m->Push(Job{});
   for (auto& t : agents) t.join();

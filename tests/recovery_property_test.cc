@@ -204,6 +204,28 @@ TEST_P(RecoveryPropertyTest, CrashPointCorporaMatchCommittedOracle) {
   }
 }
 
+// An aborted TPC-C NewOrder may have added a by_customer secondary-index
+// entry, which abort undoes but never logs, so it must get no CLR. The
+// crash harness CHECKs that every CLR compensates a write its own
+// transaction logged; this Bionic run aborts often enough (wait-die) to
+// reach that case, and must then still recover to the committed oracle.
+TEST(RecoveryClrTest, TpccAbortsCompensateOnlyLoggedWrites) {
+  workload::CrashHarnessConfig cfg;
+  cfg.mode = EngineMode::kBionic;
+  cfg.seed = 10;
+  cfg.use_tpcc = true;
+  cfg.clients = 8;
+  cfg.txns = 600;
+  cfg.scale = 20;
+  workload::CrashHarness harness(cfg);
+  const workload::CrashRunResult& run = harness.Run();
+  ASSERT_GT(run.commits, 0u);
+  ASSERT_GT(run.aborts, 0u);
+  EXPECT_EQ(harness.CheckCrashPoint(run.log.size(),
+                                    workload::TailFault::kCleanCut, 1),
+            "");
+}
+
 // Wait-die contention stress: hot-key exclusive locks force waits and
 // wait-die aborts; once every client drains, the lock table must be fully
 // reclaimed (no leaked slots or CondVars from dying waiters).

@@ -1,5 +1,4 @@
-// Tests for slotted pages, the simulated disk, the buffer pool, and
-// columnar segments.
+// Tests for slotted pages, the simulated disk and the buffer pool.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -8,7 +7,6 @@
 #include "common/random.h"
 #include "sim/simulator.h"
 #include "storage/buffer_pool.h"
-#include "storage/columnar.h"
 #include "storage/disk.h"
 #include "storage/page.h"
 
@@ -387,36 +385,6 @@ TEST(BufferPoolTest, FlushAllPersistsDirtyFrames) {
     EXPECT_EQ((*direct.Get(0)).ToString(), "flushed");
   }(&pool, &disk, id));
   sim.Run();
-}
-
-// --------------------------------------------------------------- Columnar --
-
-TEST(ColumnarTest, AppendAndAccess) {
-  ColumnarTable t({"a", "b", "c"});
-  t.AppendRow({1, 2, 3});
-  t.AppendRow({4, 5, 6});
-  EXPECT_EQ(t.num_rows(), 2u);
-  EXPECT_EQ(t.num_columns(), 3u);
-  EXPECT_EQ(t.At(1, 2), 6);
-  EXPECT_EQ(*t.ColumnIndex("b"), 1u);
-  EXPECT_TRUE(t.ColumnIndex("zzz").status().IsNotFound());
-  EXPECT_EQ(t.SizeBytes(), 2u * 3u * 8u);
-}
-
-TEST(ColumnarTest, ScanWhereFiltersAndProjects) {
-  ColumnarTable t({"id", "qty"});
-  for (int64_t i = 0; i < 100; ++i) t.AppendRow({i, i * 10});
-  auto rows = t.ScanWhere(0, [](int64_t v) { return v >= 95; }, {1});
-  ASSERT_EQ(rows.size(), 5u);
-  EXPECT_EQ(rows[0][0], 950);
-  EXPECT_EQ(t.CountWhere(1, [](int64_t v) { return v < 100; }), 10u);
-}
-
-TEST(ColumnarTest, SetUpdatesInPlace) {
-  ColumnarTable t({"x"});
-  t.AppendRow({1});
-  t.Set(0, 0, 42);
-  EXPECT_EQ(t.At(0, 0), 42);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "hw/platform.h"
@@ -215,6 +216,39 @@ TEST(XctManagerTest, AbortAppliesUndoBackwardsWithClrs) {
   EXPECT_EQ(undone[1], "a=old_a");
   // Begin + 2 updates + 2 CLRs + abort = 6 records.
   EXPECT_EQ(f.log.stats().appends, 6u);
+}
+
+// Secondary-index undo entries are derived data: abort reverts them
+// through the applier but never logs a CLR for them (txn/xct.h).
+TEST(XctManagerTest, AbortLogsNoClrForSecondaryIndexEntries) {
+  TxnFixture f;
+  std::vector<std::string> undone;
+  f.sim.Spawn([](XctManager* xm, std::vector<std::string>* undone) -> Task<> {
+    auto xct = xm->Begin();
+    EXPECT_TRUE((co_await xm->LogWrite(xct.get(), wal::RecordType::kInsert, 1,
+                                       "row", "v", "", 0))
+                    .ok());
+    UndoEntry secondary;
+    secondary.type = wal::RecordType::kInsert;
+    secondary.table_id = 1;
+    secondary.key = "skey";
+    secondary.index_name = "by_name";
+    xct->undo_chain.push_back(secondary);
+    EXPECT_TRUE((co_await xm->Abort(
+                     xct.get(),
+                     [&](const UndoEntry& e) { undone->push_back(e.key); },
+                     0))
+                    .ok());
+  }(&f.xm, &undone));
+  f.sim.Run();
+  EXPECT_EQ(undone, (std::vector<std::string>{"skey", "row"}));
+  auto records = wal::ParseLogStream(Slice(f.log.buffer()));
+  ASSERT_TRUE(records.ok());
+  // Begin + insert + the row's CLR + abort.
+  ASSERT_EQ(records->size(), 4u);
+  EXPECT_EQ((*records)[2].type, wal::RecordType::kClr);
+  EXPECT_EQ((*records)[2].key, "row");
+  EXPECT_EQ((*records)[3].type, wal::RecordType::kAbort);
 }
 
 TEST(XctManagerTest, AbortedTxnInvisibleToRecovery) {

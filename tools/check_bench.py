@@ -317,11 +317,8 @@ def check_shard(shard):
       * Cross-shard ablation: ratio-0 rows run zero distributed
         transactions; every positive-ratio row starts AND commits 2PC
         transactions (the coordinator actually works), and the observed
-        cross-shard submission fraction tracks the configured ratio.
-      * Fan-out vs sequential: at the top ratio present in BOTH sweeps,
-        parallel branch fan-out (xshard_r*) must be STRICTLY faster than
-        the sequential baseline (xshard_seq_r*). Machine-relative — the
-        two rows come from the same binary on the same host.
+        cross-shard submission fraction tracks the configured ratio. At
+        the top ratio decision-record GC retires kCoordCommit records.
       * Snapshot reads: every read-only cross-shard row (xsnap_r*) must
         serve its traffic through the prepare-free path — snap_committed
         positive, tpc_started exactly 0 (no prepare, no decision record).
@@ -377,34 +374,12 @@ def check_shard(shard):
             fail(f"shard ablation: observed cross-shard fraction "
                  f"{observed:.4f} far from configured {ratio}")
     top = ablation[-1]
+    if top["tpc_retired"] <= 0:
+        fail(f"shard ablation: decision-record GC never retired a "
+             f"kCoordCommit at ratio {top['cross_ratio']}")
     print(f"OK  shard ablation: {len(ablation)} ratios, top ratio "
           f"{top['cross_ratio']} committed {top['tpc_committed']:.0f} "
-          f"2PC txns")
-
-    sequential = {
-        row["cross_ratio"]: row
-        for name, row in shard.items() if name.startswith("xshard_seq_r")
-    }
-    if not sequential:
-        fail("shard: sequential-2PC baseline rows (xshard_seq_r*) missing")
-    paired = [r for r in ablation if r["cross_ratio"] in sequential]
-    if not paired:
-        fail("shard: no cross_ratio present in both the fan-out and the "
-             "sequential sweeps")
-    top_pair = paired[-1]
-    seq = sequential[top_pair["cross_ratio"]]
-    if top_pair["tpc_retired"] <= 0 or seq["tpc_retired"] <= 0:
-        fail("shard fan-out gate: decision-record GC never retired a "
-             "kCoordCommit on a positive-ratio row")
-    if top_pair["sim_txn_per_sec"] <= seq["sim_txn_per_sec"]:
-        fail(f"shard fan-out gate: parallel 2PC "
-             f"({top_pair['sim_txn_per_sec']:.0f} txn/s) does not beat the "
-             f"sequential baseline ({seq['sim_txn_per_sec']:.0f} txn/s) at "
-             f"ratio {top_pair['cross_ratio']}")
-    gain = top_pair["sim_txn_per_sec"] / seq["sim_txn_per_sec"]
-    print(f"OK  shard fan-out beats sequential at ratio "
-          f"{top_pair['cross_ratio']}: {top_pair['sim_txn_per_sec']:.0f} vs "
-          f"{seq['sim_txn_per_sec']:.0f} txn/s ({gain:.3f}x)")
+          f"2PC txns, retired {top['tpc_retired']:.0f} decisions")
 
     snaps = sorted(
         (row for name, row in shard.items() if name.startswith("xsnap_r")),
@@ -441,7 +416,7 @@ def main():
         "--shard", default=None, metavar="SHARD_JSON",
         help="bench/shard_scaling output; enables the scale-out gates "
              "(1-shard passivity pin, monotone shard scaling, cross-shard "
-             "2PC ablation, fan-out vs sequential, snapshot reads)")
+             "2PC ablation, snapshot reads)")
     args = parser.parse_args()
 
     with open(args.wallclock) as f:
