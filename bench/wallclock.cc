@@ -118,7 +118,10 @@ Metric BenchBtreeProbe(const char* name, bool wide, bool copy) {
 
 /// An ascending load, as every loader does. `bytes_per_entry` is the heap
 /// the tree holds afterwards (glibc's in-use bytes, chunk headers included)
-/// per row; it repeats exactly from run to run on one allocator.
+/// per row; it repeats exactly from run to run on one allocator. `appends`
+/// counts the inserts the rightmost-leaf append path served without a
+/// descent; their share of the row's ops is fixed by the key count and
+/// leaf capacity.
 Metric BenchBtreeInsert() {
   const size_t kRows = 200000;
   const auto keys = MakeKeys(kRows, /*wide=*/true);
@@ -135,6 +138,7 @@ Metric BenchBtreeInsert() {
   m.extras.emplace_back("bytes_per_entry",
                         static_cast<double>(heap_after - heap_before) /
                             static_cast<double>(kRows));
+  m.extras.emplace_back("appends", static_cast<double>(tree.stats().appends));
   return m;
 }
 

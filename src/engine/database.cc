@@ -32,18 +32,14 @@ index::BTree* Table::secondary(const std::string& index_name) {
 }
 
 Status Table::AppendToBase(Slice key, Slice record) {
-  storage::Page* page = fill_page_ == storage::kInvalidPageId
-                            ? nullptr
-                            : disk_->GetPageForLoad(fill_page_);
-  if (page == nullptr ||
-      page->ContiguousFreeSpace() < record.size() + 8) {
-    fill_page_ = disk_->AllocPage();
-    page = disk_->GetPageForLoad(fill_page_);
+  if (fill_page_ == nullptr ||
+      fill_page_->ContiguousFreeSpace() < record.size() + 8) {
+    fill_page_ = disk_->GetPageForLoad(disk_->AllocPage());
   }
-  auto slot = page->Insert(record);
+  auto slot = fill_page_->Insert(record);
   if (!slot.ok()) return slot.status();
   storage::Rid rid;
-  rid.page_id = fill_page_;
+  rid.page_id = fill_page_->page_id();
   rid.slot = *slot;
   return primary_.Insert(key, index::EncodeRid(rid));
 }

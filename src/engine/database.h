@@ -130,7 +130,9 @@ class Table {
   std::unique_ptr<Overlay> overlay_;
   std::unique_ptr<storage::CompactStore> compact_;
   index::BTreeConfig index_config_;
-  storage::PageId fill_page_ = storage::kInvalidPageId;
+  /// The page AppendToBase fills. SimDisk pages are never erased or
+  /// replaced, so the pointer stays valid for the disk's lifetime.
+  storage::Page* fill_page_ = nullptr;
   size_t rows_ = 0;
   uint64_t record_bytes_ = 0;
   uint64_t relocations_ = 0;

@@ -88,7 +88,8 @@ struct BTree::Node {
                            KeyPrefix(key)});
   }
 
-  /// Appends an entry at the end (bulk-build path; keys arrive sorted).
+  /// Appends an entry at the end (Rebuild and the append path; keys arrive
+  /// sorted).
   void AppendEntry(Slice key, Slice value) {
     InsertEntry(slots.size(), key, value);
   }
@@ -285,7 +286,8 @@ BTree::Leaf* BTree::LeftmostLeafFor(Node* node) {
 BTree::BTree(const BTreeConfig& config) : config_(config) {
   BIONICDB_CHECK(config_.inner_fanout >= 3);
   BIONICDB_CHECK(config_.leaf_capacity >= 2);
-  root_ = new Leaf();
+  rightmost_ = new Leaf();
+  root_ = rightmost_;
 }
 
 BTree::~BTree() { FreeNode(root_); }
@@ -325,6 +327,17 @@ int BTree::Upsert(Slice key, Slice value) {
 }
 
 Status BTree::InsertImpl(Slice key, Slice value, bool overwrite, int* prev) {
+  // A key above the rightmost leaf's last key descends the right spine to
+  // that leaf's end; while the leaf has room, append there directly.
+  const size_t n = rightmost_->NumKeys();
+  if (n > 0 && n < static_cast<size_t>(config_.leaf_capacity) &&
+      rightmost_->KeyAt(n - 1) < key) {
+    rightmost_->AppendEntry(key, value);
+    ++size_;
+    ++stats_.inserts;
+    ++stats_.appends;
+    return Status::OK();
+  }
   Status st = Status::OK();
   SplitResult split = InsertRec(root_, key, value, overwrite, prev, &st);
   if (!st.ok()) return st;
@@ -369,6 +382,7 @@ BTree::SplitResult BTree::InsertRec(Node* node, Slice key, Slice value,
     leaf->SplitEntries(right, mid, mid, /*right_took_new=*/pos >= mid);
     right->next = leaf->next;
     leaf->next = right;
+    if (leaf == rightmost_) rightmost_ = right;
     ++stats_.splits;
     SplitResult out;
     out.split = true;
@@ -509,6 +523,9 @@ Status BTree::DeleteRec(Node* node, Slice key, bool* empty) {
         prev = l;
       }
       if (prev) prev->next = vleaf->next;
+      // A parent never loses its last child, so the rightmost leaf has a
+      // left neighbour here.
+      if (vleaf == rightmost_) rightmost_ = prev;
     }
     FreeNode(victim);
     inner->children.erase(inner->children.begin() + static_cast<long>(ci));
@@ -589,7 +606,8 @@ Status BTree::Rebuild(double fill_factor) {
   FreeNode(root_);
 
   if (entries.empty()) {
-    root_ = new Leaf();
+    rightmost_ = new Leaf();
+    root_ = rightmost_;
     height_ = 1;
     return Status::OK();
   }
@@ -616,6 +634,7 @@ Status BTree::Rebuild(double fill_factor) {
     prev = leaf;
     level.emplace_back(leaf, leaf->KeyAt(0).ToString());
   }
+  rightmost_ = prev;
 
   // Build inner levels bottom-up until a single root remains.
   const size_t per_inner = std::max<size_t>(
@@ -649,8 +668,10 @@ Status BTree::Rebuild(double fill_factor) {
 Status BTree::CheckInvariants() const {
   int leaf_depth = -1;
   BIONICDB_RETURN_NOT_OK(CheckNode(root_, 1, nullptr, nullptr, &leaf_depth));
-  // The leaf chain links exactly the tree's leaves, left to right.
+  // The leaf chain links exactly the tree's leaves, left to right, and
+  // the append pointer is the last of them.
   const Leaf* chained = LeftmostLeafFor(root_);
+  const Node* last = nullptr;
   std::vector<const Node*> stack{root_};
   while (!stack.empty()) {
     const Node* node = stack.back();
@@ -664,9 +685,13 @@ Status BTree::CheckInvariants() const {
       return Status::Corruption("leaf chain skips or repeats a leaf");
     }
     chained = static_cast<const Leaf*>(node)->next;
+    last = node;
   }
   if (chained != nullptr) {
     return Status::Corruption("leaf chain runs past the last leaf");
+  }
+  if (last != rightmost_) {
+    return Status::Corruption("append pointer is not the rightmost leaf");
   }
   return Status::OK();
 }

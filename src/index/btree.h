@@ -32,6 +32,18 @@
 // the half that took it keeps the grown arrays (compacted in place). An
 // ascending load thus leaves every leaf but the last one exact-fit, and
 // the first insert into an exact-fit leaf reallocates two blocks.
+//
+// Ascending inserts: the tree keeps a pointer to its rightmost leaf (the
+// fast path disk B-trees such as PostgreSQL's nbtree use for increasing
+// keys). An insert appends there without a descent when the leaf is
+// non-empty, holds fewer than leaf_capacity entries and the key is above
+// its last key. Every separator on the right spine is at most that last
+// key, so the descent would reach the same leaf and position: nodes,
+// split points and BTreeStats come out byte for byte as the descent makes
+// them. Duplicates, full leaves and every other key descend. A split of
+// the rightmost leaf moves the pointer to the new sibling, unlinking an
+// empty rightmost leaf moves it to the left neighbour, and Rebuild
+// re-derives it.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +70,7 @@ struct BTreeStats {
   uint64_t probes = 0;        ///< Point lookups served.
   uint64_t node_visits = 0;   ///< Total nodes touched by probes.
   uint64_t inserts = 0;
+  uint64_t appends = 0;       ///< Inserts appended without a descent.
   uint64_t deletes = 0;
   uint64_t splits = 0;        ///< Leaf + inner splits (software SMOs).
 };
@@ -148,7 +161,8 @@ class BTree {
 
   /// Structural invariant check (uniform depth, ordered keys, separator
   /// correctness, slots inside the arena, arena size = live + dead bytes,
-  /// no value bytes in inner nodes). For tests; O(n).
+  /// no value bytes in inner nodes, the append pointer on the rightmost
+  /// leaf). For tests; O(n).
   Status CheckInvariants() const;
 
  private:
@@ -188,6 +202,7 @@ class BTree {
 
   BTreeConfig config_;
   Node* root_;
+  Leaf* rightmost_;  ///< Where ascending inserts append (see top).
   size_t size_ = 0;
   int height_ = 1;
   mutable BTreeStats stats_;

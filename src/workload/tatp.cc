@@ -61,8 +61,6 @@ Status TatpWorkload::Load() {
     const bool owned = s % config_.num_shards == config_.shard;
     SubscriberRow row{};
     row.s_id = s;
-    const std::string nbr = SubNbr(s);
-    std::memcpy(row.sub_nbr, nbr.data(), 15);
     for (int i = 0; i < 10; ++i) {
       row.bit[i] = static_cast<uint8_t>(load_rng.Uniform(2));
       row.hex[i] = static_cast<uint8_t>(load_rng.Uniform(16));
@@ -71,6 +69,8 @@ Status TatpWorkload::Load() {
     row.msc_location = static_cast<uint32_t>(load_rng.Next());
     row.vlr_location = static_cast<uint32_t>(load_rng.Next());
     if (owned) {
+      const std::string nbr = SubNbr(s);
+      std::memcpy(row.sub_nbr, nbr.data(), 15);
       BIONICDB_RETURN_NOT_OK(
           engine_->LoadRow(subscriber_, EncodeKeyU64(s), EncodeRow(row)));
       BIONICDB_RETURN_NOT_OK(

@@ -280,6 +280,34 @@ TEST(BTreeTest, SequentialLoadShapeIsUnchanged) {
   ASSERT_TRUE(t.CheckInvariants().ok());
 }
 
+// The append path takes exactly the inserts that would descend to the end
+// of a non-empty, non-full rightmost leaf; everything else descends.
+TEST(BTreeTest, AppendPathTakesOnlyKeysAboveANonFullRightmostLeaf) {
+  BTreeConfig cfg;
+  cfg.inner_fanout = 4;
+  cfg.leaf_capacity = 4;
+  BTree t(cfg);
+  ASSERT_TRUE(t.Insert("b", "1").ok());  // empty leaf: descends
+  EXPECT_EQ(t.stats().appends, 0u);
+  ASSERT_TRUE(t.Insert("c", "2").ok());
+  EXPECT_EQ(t.stats().appends, 1u);
+  EXPECT_TRUE(t.Insert("c", "x").IsAlreadyExists());  // duplicate of the max
+  EXPECT_EQ(t.Upsert("c", "3"), '2');
+  ASSERT_TRUE(t.Insert("a", "4").ok());  // below the max
+  EXPECT_EQ(t.stats().appends, 1u);
+  ASSERT_TRUE(t.Insert("d", "5").ok());  // fills the leaf
+  EXPECT_EQ(t.stats().appends, 2u);
+  ASSERT_TRUE(t.Insert("e", "6").ok());  // full leaf: descends and splits
+  EXPECT_EQ(t.stats().appends, 2u);
+  EXPECT_EQ(t.stats().splits, 1u);
+  ASSERT_TRUE(t.Insert("f", "7").ok());  // into the new rightmost leaf
+  EXPECT_EQ(t.stats().appends, 3u);
+  EXPECT_EQ(t.stats().inserts, 6u);
+  ASSERT_TRUE(t.CheckInvariants().ok());
+  EXPECT_EQ(*t.Get("c"), "3");
+  EXPECT_EQ(*t.Get("f"), "7");
+}
+
 // Entries are described by 16-bit lengths.
 TEST(BTreeTest, MaxSizeKeyAndValueRoundTrip) {
   BTree t;
@@ -295,8 +323,16 @@ TEST(BTreeTest, MaxSizeKeyAndValueRoundTrip) {
 
 // ------------------------------------------------------- property testing --
 
-/// Insert-key order of a model run; the other ops pick keys at random.
-enum class KeyOrder : uint16_t { kRandom, kAscending, kDescending };
+/// Insert-key order of a model run; the other ops pick keys at random,
+/// except that kAppendPopMax inserts ascending, deletes the current maximum
+/// (emptying and unlinking rightmost leaves) and rebuilds the tree once
+/// midway.
+enum class KeyOrder : uint16_t {
+  kRandom,
+  kAscending,
+  kDescending,
+  kAppendPopMax
+};
 
 struct ModelParams {
   uint64_t seed;
@@ -327,8 +363,12 @@ TEST_P(BTreeModelTest, MatchesStdMapUnderRandomOps) {
     const uint64_t op = rng.Uniform(10);
     if (op < 5 && p.order != KeyOrder::kRandom) {
       const uint64_t i = ordered_inserts++ % key_space;
-      key = EncodeKeyU64(p.order == KeyOrder::kAscending ? i
-                                                         : key_space - 1 - i);
+      key = EncodeKeyU64(p.order == KeyOrder::kDescending ? key_space - 1 - i
+                                                          : i);
+    }
+    if (op >= 5 && op < 7 && p.order == KeyOrder::kAppendPopMax &&
+        !model.empty()) {
+      key = model.rbegin()->first;
     }
     if (op < 5) {  // insert
       const std::string val = rng.AlphaString(1, p.max_value);
@@ -362,11 +402,17 @@ TEST_P(BTreeModelTest, MatchesStdMapUnderRandomOps) {
       model[key] = val;
     }
     ASSERT_EQ(t.size(), model.size());
+    if (p.order == KeyOrder::kAppendPopMax && step == 2000) {
+      ASSERT_TRUE(t.Rebuild().ok());
+    }
     if (step % 500 == 0) {
       ASSERT_TRUE(t.CheckInvariants().ok()) << step;
     }
   }
   ASSERT_TRUE(t.CheckInvariants().ok());
+  if (p.order == KeyOrder::kAscending || p.order == KeyOrder::kAppendPopMax) {
+    EXPECT_GT(t.stats().appends, 0u);
+  }
 
   // Full scan equality.
   auto mit = model.begin();
@@ -391,6 +437,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ModelParams{7, 8, 8, 4096, KeyOrder::kAscending},
                       ModelParams{8, 8, 8, 4096, KeyOrder::kDescending},
                       ModelParams{9, 4, 4, 4096, KeyOrder::kAscending, 200},
+                      // Appends while the maximum keeps being deleted.
+                      ModelParams{12, 3, 2, 4096, KeyOrder::kAppendPopMax},
+                      ModelParams{13, 8, 8, 4096, KeyOrder::kAppendPopMax},
                       // Values that outgrow their slot and compact.
                       ModelParams{10, 64, 16, 512, KeyOrder::kRandom, 300},
                       ModelParams{11, 4, 4, 64, KeyOrder::kRandom, 300}),
@@ -402,6 +451,7 @@ INSTANTIATE_TEST_SUITE_P(
                          std::to_string(p.key_space);
       if (p.order == KeyOrder::kAscending) name += "_asc";
       if (p.order == KeyOrder::kDescending) name += "_desc";
+      if (p.order == KeyOrder::kAppendPopMax) name += "_popmax";
       if (p.max_value != 6) name += "_v" + std::to_string(p.max_value);
       return name;
     });

@@ -23,7 +23,9 @@ gates come in two backend dimensions, selected with --backend:
                 most TATP_E2E_ALLOCS_CEILING times.
               * B+Tree memory: the heap an ascending 200k-row load holds
                 per entry (btree_insert_16's bytes_per_entry, also exact
-                per allocator) is at most BTREE_BYTES_PER_ENTRY_CEILING.
+                per allocator) is at most BTREE_BYTES_PER_ENTRY_CEILING,
+                and the append path serves at least
+                BTREE_APPEND_SHARE_FLOOR of that load's inserts.
 
   threaded  Wall-clock gates on the real-thread backend rows
             (tatp_threaded_t{1,2,4,8}, tpcc_threaded_t8). Absolute
@@ -69,6 +71,12 @@ TATP_E2E_ALLOCS_CEILING = 33.026
 # one byte arena per node (171.5 with per-node key and value arenas); a
 # higher figure means index entries grew or leaves stopped being exact-fit.
 BTREE_BYTES_PER_ENTRY_CEILING = 132.9
+# Share of btree_insert_16's 200k ascending inserts that the B+Tree's
+# rightmost-leaf append path serves without a descent (appends / ops). It
+# is fixed by the key count and the leaf capacity of 64: every insert but
+# the first and the one that splits each full rightmost leaf. Below it,
+# ascending loads fell back to descending from the root.
+BTREE_APPEND_SHARE_FLOOR = 193751 / 200000
 TATP_THREAD_SWEEP = [1, 2, 4, 8]
 
 
@@ -167,6 +175,16 @@ def check_sim(wallclock, evq, baseline):
         )
     print(f"ok: btree_insert_16 {per_entry} bytes per entry "
           f"(ceiling {BTREE_BYTES_PER_ENTRY_CEILING})")
+    insert = wallclock["btree_insert_16"]
+    share = insert["appends"] / insert["ops"]
+    if share < BTREE_APPEND_SHARE_FLOOR:
+        fail(
+            f"btree_insert_16 appended {share:.6f} of its ascending inserts, "
+            f"below the floor of {BTREE_APPEND_SHARE_FLOOR:.6f}; the rest "
+            "descended from the root"
+        )
+    print(f"ok: btree_insert_16 append share {share:.6f} "
+          f"(floor {BTREE_APPEND_SHARE_FLOOR:.6f})")
 
 
 def check_threaded(wallclock):
