@@ -38,7 +38,6 @@
 #include "shard/cluster.h"
 #include "sim/simulator.h"
 #include "workload/driver.h"
-#include "workload/sharded_driver.h"
 #include "workload/sharded_tatp.h"
 #include "workload/tpcc.h"
 
@@ -90,8 +89,8 @@ Row RunShardedTatp(const RowSpec& spec) {
   dcfg.clients = spec.clients;
   dcfg.warmup_txns = spec.warmup_txns;
   dcfg.measured_txns = spec.measured_txns;
-  workload::ShardedDriverReport report;
-  sim.Spawn(workload::RunShardedClosedLoop(
+  workload::DriverReport report;
+  sim.Spawn(workload::RunClosedLoop(
       &cluster, [&tatp] { return tatp.NextTransaction(); }, dcfg, &report));
   sim.Run();
 
@@ -145,7 +144,7 @@ Row RunShardedTatp(const RowSpec& spec) {
   // Per-shard attribution (satellite: no single aggregate hiding a hot
   // shard) — submitted/retries/gave_up per home shard.
   for (int i = 0; i < spec.shards; ++i) {
-    const workload::ShardStats& s =
+    const workload::DriverCounts& s =
         report.per_shard[static_cast<size_t>(i)];
     const std::string p = "shard" + std::to_string(i) + "_";
     row.fields.emplace_back(p + "submitted",

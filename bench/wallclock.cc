@@ -40,8 +40,17 @@ struct Metric {
   double allocs_per_op = 0;
   double wall_ms = 0;
   // Optional extra data (e.g. simulated txn/s and tail percentiles for the
-  // e2e run), emitted in order after the standard fields.
-  std::vector<std::pair<std::string, double>> extras;
+  // e2e run), emitted in order after the standard fields, each with its
+  // own number of decimals.
+  struct Extra {
+    std::string key;
+    double value = 0;
+    int decimals = 1;
+  };
+  std::vector<Extra> extras;
+  void Add(const std::string& key, double value, int decimals = 1) {
+    extras.push_back({key, value, decimals});
+  }
 };
 
 class Timer {
@@ -135,10 +144,12 @@ Metric BenchBtreeInsert() {
   Metric m = t.Stop("btree_insert_16", kRows);
   BIONICDB_CHECK(tree.size() == kRows);
   const size_t heap_after = mallinfo2().uordblks;
-  m.extras.emplace_back("bytes_per_entry",
-                        static_cast<double>(heap_after - heap_before) /
-                            static_cast<double>(kRows));
-  m.extras.emplace_back("appends", static_cast<double>(tree.stats().appends));
+  // Five decimals: check_bench.py's ceiling compares the unrounded figure.
+  m.Add("bytes_per_entry",
+        static_cast<double>(heap_after - heap_before) /
+            static_cast<double>(kRows),
+        5);
+  m.Add("appends", static_cast<double>(tree.stats().appends));
   return m;
 }
 
@@ -229,28 +240,23 @@ Metric BenchTatpE2e() {
   // Wall cost per *committed* txn (the run also executes warmup txns and
   // aborted attempts; they are part of the price of a committed txn).
   Metric m = t.Stop("tatp_e2e_dora", eng.metrics().commits);
-  m.extras.emplace_back("sim_txn_per_sec", eng.metrics().TxnPerSecond());
+  m.Add("sim_txn_per_sec", eng.metrics().TxnPerSecond());
   // Tail percentiles of the measured window (virtual time). The total
   // latency comes from the metrics histogram every run records; the
   // per-stage attribution comes from the flight recorder.
   const Histogram& lat = eng.metrics().latency;
-  m.extras.emplace_back("p50_latency_us",
-                        static_cast<double>(lat.Percentile(50)) / 1e3);
-  m.extras.emplace_back("p99_latency_us",
-                        static_cast<double>(lat.Percentile(99)) / 1e3);
-  m.extras.emplace_back("p999_latency_us",
-                        static_cast<double>(lat.Percentile(99.9)) / 1e3);
+  m.Add("p50_latency_us", static_cast<double>(lat.Percentile(50)) / 1e3);
+  m.Add("p99_latency_us", static_cast<double>(lat.Percentile(99)) / 1e3);
+  m.Add("p999_latency_us", static_cast<double>(lat.Percentile(99.9)) / 1e3);
   obs::FlightRecorder* fr = eng.flight_recorder();
   BIONICDB_CHECK(fr != nullptr);
   for (int i = 0; i < obs::kNumStages; ++i) {
     const auto s = static_cast<obs::Stage>(i);
     const Histogram& h = fr->stage_hist(s);
-    m.extras.emplace_back(
-        std::string("stage_") + obs::StageKey(s) + "_p50_us",
-        static_cast<double>(h.Percentile(50)) / 1e3);
-    m.extras.emplace_back(
-        std::string("stage_") + obs::StageKey(s) + "_p999_us",
-        static_cast<double>(h.Percentile(99.9)) / 1e3);
+    m.Add(std::string("stage_") + obs::StageKey(s) + "_p50_us",
+          static_cast<double>(h.Percentile(50)) / 1e3);
+    m.Add(std::string("stage_") + obs::StageKey(s) + "_p999_us",
+          static_cast<double>(h.Percentile(99.9)) / 1e3);
   }
   return m;
 }
@@ -264,31 +270,24 @@ Metric BenchTatpE2e() {
 void AddThreadedExtras(Metric* m, int threads,
                        const exec::ThreadedBackend::RunReport& rep,
                        const exec::ThreadedStats& stats) {
-  m->extras.emplace_back("txn_per_sec", rep.txn_per_sec);
-  m->extras.emplace_back("threads", static_cast<double>(threads));
-  m->extras.emplace_back(
-      "host_cores",
-      static_cast<double>(std::thread::hardware_concurrency()));
-  m->extras.emplace_back("committed", static_cast<double>(rep.committed));
-  m->extras.emplace_back("aborted_attempts",
-                         static_cast<double>(rep.aborted_attempts));
-  m->extras.emplace_back(
-      "p50_latency_us",
-      static_cast<double>(rep.latency.Percentile(50)) / 1e3);
-  m->extras.emplace_back(
-      "p99_latency_us",
-      static_cast<double>(rep.latency.Percentile(99)) / 1e3);
-  m->extras.emplace_back("wal_appends",
-                         static_cast<double>(rep.wal.appends));
-  m->extras.emplace_back("wal_flushes",
-                         static_cast<double>(rep.wal.flushes));
-  m->extras.emplace_back("wal_group_commit_waits",
-                         static_cast<double>(rep.wal.group_commit_waits));
+  m->Add("txn_per_sec", rep.txn_per_sec);
+  m->Add("threads", static_cast<double>(threads));
+  m->Add("host_cores",
+         static_cast<double>(std::thread::hardware_concurrency()));
+  m->Add("committed", static_cast<double>(rep.committed));
+  m->Add("aborted_attempts", static_cast<double>(rep.aborted_attempts));
+  m->Add("p50_latency_us",
+         static_cast<double>(rep.latency.Percentile(50)) / 1e3);
+  m->Add("p99_latency_us",
+         static_cast<double>(rep.latency.Percentile(99)) / 1e3);
+  m->Add("wal_appends", static_cast<double>(rep.wal.appends));
+  m->Add("wal_flushes", static_cast<double>(rep.wal.flushes));
+  m->Add("wal_group_commit_waits",
+         static_cast<double>(rep.wal.group_commit_waits));
   // Warmup included, like the WAL counters: wal_flushes / write_commits is
   // the number of fsyncs a write commit costs.
-  m->extras.emplace_back(
-      "write_commits",
-      static_cast<double>(stats.commits - stats.read_only_commits));
+  m->Add("write_commits",
+         static_cast<double>(stats.commits - stats.read_only_commits));
 }
 
 /// TATP on the real-thread backend (exec::ThreadedBackend), closed loop
@@ -359,8 +358,8 @@ void EmitJson(const std::vector<Metric>& ms, FILE* f) {
                  "\"ops\": %llu, \"wall_ms\": %.1f",
                  m.name.c_str(), m.ns_per_op, m.allocs_per_op,
                  static_cast<unsigned long long>(m.ops), m.wall_ms);
-    for (const auto& [k, v] : m.extras) {
-      std::fprintf(f, ", \"%s\": %.1f", k.c_str(), v);
+    for (const Metric::Extra& e : m.extras) {
+      std::fprintf(f, ", \"%s\": %.*f", e.key.c_str(), e.decimals, e.value);
     }
     std::fprintf(f, "}%s\n", i + 1 < ms.size() ? "," : "");
   }

@@ -20,24 +20,6 @@ using index::EncodeKeyU64;
 
 namespace {
 
-/// Applies redo records into a table's base storage.
-class EngineTarget : public wal::RecoveryTarget {
- public:
-  explicit EngineTarget(engine::Database* db) : db_(db) {}
-  void RedoInsert(uint32_t t, Slice k, Slice v) override {
-    BIONICDB_CHECK(db_->GetTable(t)->BasePut(k, v).ok());
-  }
-  void RedoUpdate(uint32_t t, Slice k, Slice v) override {
-    BIONICDB_CHECK(db_->GetTable(t)->BasePut(k, v).ok());
-  }
-  void RedoDelete(uint32_t t, Slice k) override {
-    (void)db_->GetTable(t)->BaseDelete(k);
-  }
-
- private:
-  engine::Database* db_;
-};
-
 Engine::TxnSpec UpdateTxn(Engine* eng, engine::Table* t, uint64_t key,
                           std::string value, bool then_crash) {
   Engine::TxnSpec spec;
@@ -92,7 +74,7 @@ int main() {
   for (uint64_t i = 0; i < 10; ++i) {
     BIONICDB_CHECK(fresh.LoadRow(t2, EncodeKeyU64(i), "initial").ok());
   }
-  EngineTarget target(&fresh.db());
+  engine::BaseStorageTarget target(&fresh.db());
   wal::RecoveryStats stats;
   Status st = wal::Recover(prefix, &target, &stats);
   std::printf("  recovery: %s — scanned %llu records, %llu committed txns, "
@@ -158,7 +140,7 @@ int main() {
   for (uint64_t i = 0; i < 10; ++i) {
     BIONICDB_CHECK(fresh2.LoadRow(t4, EncodeKeyU64(i), "initial").ok());
   }
-  EngineTarget target2(&fresh2.db());
+  engine::BaseStorageTarget target2(&fresh2.db());
   wal::RecoveryStats stats2;
   const Status torn_st = wal::Recover(Slice(torn), &target2, &stats2);
   std::printf("  recovery: %s — tail %s at offset %llu (%llu bytes "

@@ -220,4 +220,26 @@ Table* Database::GetTable(uint32_t id) {
   return id < tables_.size() ? tables_[id].get() : nullptr;
 }
 
+std::map<std::string, std::string> Database::Snapshot() const {
+  std::map<std::string, std::string> state;
+  for (const auto& t : tables_) {
+    for (auto& [k, v] : t->ScanAll()) state[t->name() + "/" + k] = v;
+  }
+  return state;
+}
+
+void BaseStorageTarget::RedoInsert(uint32_t table_id, Slice key,
+                                   Slice value) {
+  BIONICDB_CHECK(db_->GetTable(table_id)->BasePut(key, value).ok());
+}
+
+void BaseStorageTarget::RedoUpdate(uint32_t table_id, Slice key,
+                                   Slice value) {
+  BIONICDB_CHECK(db_->GetTable(table_id)->BasePut(key, value).ok());
+}
+
+void BaseStorageTarget::RedoDelete(uint32_t table_id, Slice key) {
+  (void)db_->GetTable(table_id)->BaseDelete(key);
+}
+
 }  // namespace bionicdb::engine

@@ -23,6 +23,7 @@
 #include "storage/compact.h"
 #include "storage/disk.h"
 #include "storage/page.h"
+#include "wal/recovery.h"
 
 namespace bionicdb::engine {
 
@@ -157,6 +158,10 @@ class Database {
   void FinalizeLoad() {
     for (auto& t : tables_) t->FinalizeLoad();
   }
+  /// Logical content of every table, keyed "table/key" (Table::ScanAll:
+  /// base rows patched with overlay deltas). What crash checks and
+  /// recovery tests compare a recovered database against.
+  std::map<std::string, std::string> Snapshot() const;
 
  private:
   storage::SimDisk* disk_;
@@ -165,6 +170,19 @@ class Database {
   size_t overlay_capacity_;
   bool compact_storage_;
   std::vector<std::unique_ptr<Table>> tables_;
+};
+
+/// Redoes recovered writes into a database's base storage: wal::Recover
+/// into a freshly loaded database rebuilds the committed state.
+class BaseStorageTarget : public wal::RecoveryTarget {
+ public:
+  explicit BaseStorageTarget(Database* db) : db_(db) {}
+  void RedoInsert(uint32_t table_id, Slice key, Slice value) override;
+  void RedoUpdate(uint32_t table_id, Slice key, Slice value) override;
+  void RedoDelete(uint32_t table_id, Slice key) override;
+
+ private:
+  Database* db_;
 };
 
 }  // namespace bionicdb::engine

@@ -232,6 +232,23 @@ Status ThreadedBackend::Execute(engine::Engine::TxnSpec spec,
   return st;
 }
 
+Status ThreadedBackend::ExecuteWithRetries(
+    const engine::Engine::TxnSpec& spec, int max_retries,
+    uint64_t retry_backoff_ns, uint64_t* aborted_attempts) {
+  Status st;
+  uint64_t priority = 0;
+  for (int attempt = 0; attempt <= max_retries; ++attempt) {
+    engine::Engine::TxnSpec copy = spec;
+    st = Execute(std::move(copy), &priority);
+    if (!st.IsAborted()) break;
+    if (aborted_attempts != nullptr) ++*aborted_attempts;
+    // Linear backoff, as in workload::RunClosedLoop.
+    std::this_thread::sleep_for(std::chrono::nanoseconds(
+        retry_backoff_ns * static_cast<uint64_t>(attempt + 1)));
+  }
+  return st;
+}
+
 ThreadedBackend::RunReport ThreadedBackend::RunClosedLoop(
     const std::function<engine::Engine::TxnSpec()>& next,
     const RunOptions& options) {
@@ -260,18 +277,10 @@ ThreadedBackend::RunReport ThreadedBackend::RunClosedLoop(
             spec = next();
           }
           const auto t0 = std::chrono::steady_clock::now();
-          Status st;
-          uint64_t priority = 0;  // pinned across retries so the txn ages
-          for (int attempt = 0; attempt <= options.max_retries; ++attempt) {
-            engine::Engine::TxnSpec copy = spec;
-            st = Execute(std::move(copy), &priority);
-            if (!st.IsAborted()) break;
-            ++local.aborted_attempts;
-            // Linear backoff, as in workload::RunClosedLoop.
-            std::this_thread::sleep_for(std::chrono::nanoseconds(
-                options.retry_backoff_ns *
-                static_cast<uint64_t>(attempt + 1)));
-          }
+          const Status st =
+              ExecuteWithRetries(spec, options.max_retries,
+                                 options.retry_backoff_ns,
+                                 &local.aborted_attempts);
           if (st.ok()) ++local.committed;
           local.latency.Add(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                 std::chrono::steady_clock::now() - t0)
@@ -402,15 +411,9 @@ ThreadedBackend::OpenLoopReport ThreadedBackend::RunOpenLoop(
           item = std::move(sh.q.front());
           sh.q.pop_front();
         }
-        Status st;
-        uint64_t priority = 0;  // pinned across retries so the txn ages
-        for (int attempt = 0; attempt <= options.max_retries; ++attempt) {
-          engine::Engine::TxnSpec copy = item.spec;
-          st = Execute(std::move(copy), &priority);
-          if (!st.IsAborted()) break;
-          std::this_thread::sleep_for(std::chrono::nanoseconds(
-              options.retry_backoff_ns * static_cast<uint64_t>(attempt + 1)));
-        }
+        const Status st =
+            ExecuteWithRetries(item.spec, options.max_retries,
+                               options.retry_backoff_ns, nullptr);
         if (item.enqueue >= warmup_end) {
           ++local.completed;
           if (st.ok()) ++local.committed;

@@ -182,6 +182,13 @@ class ThreadedBackend {
 
   void AgentLoop(uint32_t pid);
   void HandleAction(dora::Partition& part, dora::Action* action);
+  /// Runs `spec` to a final status for both drivers: a wait-die abort
+  /// re-executes up to `max_retries` times under the same pinned priority
+  /// (so the transaction ages), after a linear backoff sleep. Counts every
+  /// aborted attempt into `*aborted_attempts` when it is non-null.
+  Status ExecuteWithRetries(const engine::Engine::TxnSpec& spec,
+                            int max_retries, uint64_t retry_backoff_ns,
+                            uint64_t* aborted_attempts);
 
   engine::Engine* engine_;
   Config config_;

@@ -20,8 +20,9 @@
 
 namespace bionicdb::wal {
 
-/// Applies redo effects during recovery. Implemented by the engine's
-/// tables; tests use an in-memory map.
+/// Applies redo effects during recovery. engine::BaseStorageTarget
+/// (engine/database.h) redoes into a database's base storage; WAL tests
+/// use an in-memory map.
 class RecoveryTarget {
  public:
   virtual ~RecoveryTarget() = default;

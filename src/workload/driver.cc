@@ -16,44 +16,119 @@ DriverConfig ValidatedDriverConfig(DriverConfig config) {
 
 namespace {
 
+// Where an engine and a cluster differ, for the driver's purposes.
+int Sockets(engine::Engine* engine) {
+  return std::max(1, engine->config().sockets);
+}
+int Sockets(shard::Cluster* cluster) {
+  return std::max(1, cluster->shard(0)->config().sockets);
+}
+size_t NumShards(engine::Engine*) { return 1; }
+size_t NumShards(shard::Cluster* cluster) {
+  return static_cast<size_t>(cluster->num_shards());
+}
+sim::Task<void> Preheat(engine::Engine* engine) {
+  return engine->PreheatBufferPool();
+}
+sim::Task<void> Preheat(shard::Cluster* cluster) {
+  return cluster->PreheatBufferPools();
+}
+size_t HomeShard(const engine::Engine::TxnSpec&) { return 0; }
+size_t HomeShard(const shard::ShardedTxn& txn) {
+  int home = txn.fragments[0].shard;
+  for (const shard::ShardFragment& f : txn.fragments) {
+    home = std::min(home, f.shard);
+  }
+  return static_cast<size_t>(home);
+}
+bool CrossShard(const engine::Engine::TxnSpec&) { return false; }
+bool CrossShard(const shard::ShardedTxn& txn) { return txn.cross_shard(); }
+sim::Task<Status> ExecuteOnce(engine::Engine* engine,
+                              engine::Engine::TxnSpec spec, int socket,
+                              uint64_t* priority, SimTime arrival_ts) {
+  return engine->Execute(std::move(spec), socket, priority, arrival_ts);
+}
+sim::Task<Status> ExecuteOnce(shard::Cluster* cluster, shard::ShardedTxn txn,
+                              int socket, uint64_t* priority, SimTime) {
+  return cluster->Execute(std::move(txn), socket, priority);
+}
+
+/// Runs `txn` to a final status. A wait-die abort re-executes it up to
+/// config.max_retries times under the same pinned priority, so the
+/// transaction ages; `on_abort()` runs after every aborted attempt.
+/// Non-Aborted failures are final.
+template <typename Target, typename Txn, typename OnAbort>
+sim::Task<Status> ExecuteWithRetries(Target* target, const Txn& txn,
+                                     int socket, SimTime arrival_ts,
+                                     const DriverConfig& config,
+                                     OnAbort on_abort) {
+  sim::Simulator* sim = target->simulator();
+  Status st;
+  uint64_t priority = 0;
+  for (int attempt = 0; attempt <= config.max_retries; ++attempt) {
+    Txn copy = txn;
+    st = co_await ExecuteOnce(target, std::move(copy), socket, &priority,
+                              arrival_ts);
+    if (!st.IsAborted()) break;
+    on_abort();
+    // Linear backoff with deterministic jitter: correlated retry storms
+    // of similarly-aged transactions otherwise keep colliding. Zero
+    // backoff means an immediate retry — no jitter draw (Uniform(0) is
+    // a contract violation).
+    SimTime jitter = 0;
+    if (config.retry_backoff_ns > 0) {
+      jitter = static_cast<SimTime>(
+          sim->rng().Uniform(static_cast<uint64_t>(config.retry_backoff_ns)));
+    }
+    co_await sim::Delay{sim, config.retry_backoff_ns * (attempt + 1) + jitter};
+  }
+  co_return st;
+}
+
+void Count(const Status& st, DriverCounts* counts) {
+  ++counts->submitted;
+  if (st.IsAborted()) {
+    ++counts->gave_up;
+  } else if (!st.ok()) {
+    ++counts->failed;
+  }
+}
+
+/// Sets the report's totals to the sums of its per-home-shard counters:
+/// each outcome is counted once, so the two views cannot drift apart.
+void SumShards(DriverReport* report) {
+  DriverCounts total;
+  for (const DriverCounts& s : report->per_shard) {
+    total.submitted += s.submitted;
+    total.retries += s.retries;
+    total.gave_up += s.gave_up;
+    total.failed += s.failed;
+  }
+  static_cast<DriverCounts&>(*report) = total;
+}
+
 struct Wave {
   explicit Wave(sim::Simulator* sim) : done(sim) {}
   uint64_t remaining = 0;
   sim::Completion done;
 };
 
-sim::Task<void> Client(engine::Engine* engine, NextTxnFn next,
+template <typename Target, typename Txn>
+sim::Task<void> Client(Target* target, std::function<Txn()> next,
                        uint64_t my_txns, int socket, Wave* wave,
                        const DriverConfig* config, DriverReport* report) {
   for (uint64_t i = 0; i < my_txns; ++i) {
-    engine::Engine::TxnSpec spec = next();
-    Status st;
-    uint64_t priority = 0;  // pinned across retries so the txn ages
-    for (int attempt = 0; attempt <= config->max_retries; ++attempt) {
-      engine::Engine::TxnSpec copy = spec;
-      st = co_await engine->Execute(std::move(copy), socket, &priority);
-      if (!st.IsAborted()) break;
-      if (report) ++report->retries;
-      // Linear backoff with deterministic jitter: correlated retry storms
-      // of similarly-aged transactions otherwise keep colliding. Zero
-      // backoff means an immediate retry — no jitter draw (Uniform(0) is
-      // a contract violation).
-      SimTime jitter = 0;
-      if (config->retry_backoff_ns > 0) {
-        jitter = static_cast<SimTime>(engine->simulator()->rng().Uniform(
-            static_cast<uint64_t>(config->retry_backoff_ns)));
-      }
-      co_await sim::Delay{engine->simulator(),
-                          config->retry_backoff_ns * (attempt + 1) + jitter};
+    const Txn txn = next();
+    DriverCounts* home = nullptr;
+    if (report != nullptr) {
+      home = &report->per_shard[HomeShard(txn)];
+      if (CrossShard(txn)) ++report->cross_shard_submitted;
     }
-    if (report) {
-      ++report->submitted;
-      if (st.IsAborted()) {
-        ++report->gave_up;
-      } else if (!st.ok()) {
-        ++report->failed;
-      }
-    }
+    const Status st = co_await ExecuteWithRetries(
+        target, txn, socket, /*arrival_ts=*/-1, *config, [home] {
+          if (home != nullptr) ++home->retries;
+        });
+    if (home != nullptr) Count(st, home);
   }
   if (--wave->remaining == 0) wave->done.Set();
 }
@@ -61,14 +136,15 @@ sim::Task<void> Client(engine::Engine* engine, NextTxnFn next,
 /// Precondition: config came through ValidatedDriverConfig (clients >= 1;
 /// a zero-client wave would never Set() its completion and divide by zero
 /// splitting shares).
-sim::Task<void> RunWave(engine::Engine* engine, NextTxnFn next,
+template <typename Target, typename Txn>
+sim::Task<void> RunWave(Target* target, const std::function<Txn()>& next,
                         uint64_t total_txns, const DriverConfig& config,
                         DriverReport* report) {
-  sim::Simulator* sim = engine->simulator();
+  sim::Simulator* sim = target->simulator();
   BIONICDB_CHECK(config.clients > 0);
   Wave wave(sim);
   wave.remaining = static_cast<uint64_t>(config.clients);
-  const int sockets = std::max(1, engine->config().sockets);
+  const int sockets = Sockets(target);
   for (int c = 0; c < config.clients; ++c) {
     const uint64_t share =
         total_txns / static_cast<uint64_t>(config.clients) +
@@ -77,26 +153,42 @@ sim::Task<void> RunWave(engine::Engine* engine, NextTxnFn next,
              ? 1
              : 0);
     sim->Spawn(
-        Client(engine, next, share, c % sockets, &wave, &config, report));
+        Client(target, next, share, c % sockets, &wave, &config, report));
   }
   co_await wave.done.Wait();
+}
+
+template <typename Target, typename Txn>
+sim::Task<void> ClosedLoop(Target* target, std::function<Txn()> next,
+                           const DriverConfig& raw_config,
+                           DriverReport* report) {
+  const DriverConfig config = ValidatedDriverConfig(raw_config);
+  if (report != nullptr) report->per_shard.assign(NumShards(target), {});
+  target->Start();
+  if (config.preheat) co_await Preheat(target);
+  if (config.warmup_txns > 0) {
+    co_await RunWave(target, next, config.warmup_txns, config, nullptr);
+  }
+  target->ResetStats();
+  co_await RunWave(target, next, config.measured_txns, config, report);
+  if (report != nullptr) SumShards(report);
+  target->FinishRun();
+  co_await target->Shutdown();
 }
 
 }  // namespace
 
 sim::Task<void> RunClosedLoop(engine::Engine* engine, NextTxnFn next,
-                              const DriverConfig& raw_config,
+                              const DriverConfig& config,
                               DriverReport* report) {
-  const DriverConfig config = ValidatedDriverConfig(raw_config);
-  engine->Start();
-  if (config.preheat) co_await engine->PreheatBufferPool();
-  if (config.warmup_txns > 0) {
-    co_await RunWave(engine, next, config.warmup_txns, config, nullptr);
-  }
-  engine->ResetStats();
-  co_await RunWave(engine, next, config.measured_txns, config, report);
-  engine->FinishRun();
-  co_await engine->Shutdown();
+  return ClosedLoop(engine, std::move(next), config, report);
+}
+
+sim::Task<void> RunClosedLoop(shard::Cluster* cluster,
+                              std::function<shard::ShardedTxn()> next,
+                              const DriverConfig& config,
+                              DriverReport* report) {
+  return ClosedLoop(cluster, std::move(next), config, report);
 }
 
 // ------------------------------------------------------------ open loop --
@@ -121,7 +213,7 @@ sim::Task<void> OpenLoopServer(engine::Engine* engine,
                                OpenLoopState* state, OpenLoopReport* report) {
   sim::Simulator* sim = engine->simulator();
   auto* q = engine->admission();
-  const int sockets = std::max(1, engine->config().sockets);
+  const int sockets = Sockets(engine);
   std::vector<engine::AdmissionQueue<engine::Engine::AdmittedTxn>::Entry>
       batch;
   for (;;) {
@@ -130,23 +222,11 @@ sim::Task<void> OpenLoopServer(engine::Engine* engine,
     for (auto& entry : batch) {
       const int socket = static_cast<int>(entry.item.client %
                                           static_cast<uint64_t>(sockets));
-      Status st;
-      uint64_t priority = 0;  // pinned across retries so the txn ages
-      for (int attempt = 0; attempt <= config->service.max_retries;
-           ++attempt) {
-        engine::Engine::TxnSpec copy = entry.item.spec;
-        st = co_await engine->Execute(std::move(copy), socket, &priority,
-                                      entry.enqueue_ts);
-        if (!st.IsAborted()) break;
-        if (report && state->measuring) ++report->retries;
-        SimTime jitter = 0;
-        if (config->service.retry_backoff_ns > 0) {
-          jitter = static_cast<SimTime>(sim->rng().Uniform(
-              static_cast<uint64_t>(config->service.retry_backoff_ns)));
-        }
-        co_await sim::Delay{
-            sim, config->service.retry_backoff_ns * (attempt + 1) + jitter};
-      }
+      const Status st = co_await ExecuteWithRetries(
+          engine, entry.item.spec, socket, entry.enqueue_ts, config->service,
+          [report, state] {
+            if (report && state->measuring) ++report->retries;
+          });
       if (report && state->measuring) {
         ++report->completed;
         if (st.ok()) {

@@ -3,7 +3,10 @@
 //  * RunClosedLoop — N clients, each submitting transactions back-to-back,
 //    with a warmup wave (populating caches) excluded from the measurement
 //    window. Offered load is capped by service capacity by construction,
-//    so the engine never sees overload.
+//    so the engine never sees overload. One body drives an engine::Engine
+//    or a shard::Cluster; a 1-shard cluster run is bit-identical to the
+//    same run on the unsharded engine (same spawns, same RNG draws, same
+//    waves).
 //  * RunOpenLoop — an arrival PROCESS (workload/arrival.h) offers load
 //    independently of service completions, through the engine's bounded
 //    admission queue (queueing/admission.h). Offered load may exceed
@@ -14,9 +17,11 @@
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "common/histogram.h"
 #include "engine/engine.h"
+#include "shard/cluster.h"
 #include "workload/arrival.h"
 
 namespace bionicdb::workload {
@@ -44,7 +49,8 @@ struct DriverConfig {
 /// through here; call it directly to see what a config will actually run.
 DriverConfig ValidatedDriverConfig(DriverConfig config);
 
-struct DriverReport {
+/// Outcome counters of the measured wave.
+struct DriverCounts {
   uint64_t submitted = 0;
   uint64_t retries = 0;
   uint64_t gave_up = 0;  ///< Aborted and out of retry budget.
@@ -52,11 +58,25 @@ struct DriverReport {
                          ///< retried, so not counted in gave_up.
 };
 
-/// Runs the full benchmark inside the simulator: starts the engine's
-/// agents, runs the warmup wave, resets stats, runs the measured wave,
-/// closes the measurement window, and drains the agents. Spawn this on the
-/// simulator and call sim.Run().
+/// The inherited totals are the sums of `per_shard`.
+struct DriverReport : DriverCounts {
+  uint64_t cross_shard_submitted = 0;  ///< Multi-fragment transactions.
+  /// The same counters per HOME shard — the lowest shard a transaction
+  /// touches, which for a distributed transaction is also its 2PC
+  /// coordinator — so a hot or abort-prone shard is not averaged away.
+  /// An engine is home shard 0 of 1.
+  std::vector<DriverCounts> per_shard;
+};
+
+/// Runs the full benchmark inside the simulator: starts the agents, runs
+/// the warmup wave, resets stats, runs the measured wave, closes the
+/// measurement window, and drains the agents. Spawn this on the simulator
+/// and call sim.Run().
 sim::Task<void> RunClosedLoop(engine::Engine* engine, NextTxnFn next,
+                              const DriverConfig& config,
+                              DriverReport* report = nullptr);
+sim::Task<void> RunClosedLoop(shard::Cluster* cluster,
+                              std::function<shard::ShardedTxn()> next,
                               const DriverConfig& config,
                               DriverReport* report = nullptr);
 

@@ -267,12 +267,7 @@ TEST(CompactEngineTest, TatpMatchesPagedEngineOutcome) {
         &engine, [&] { return tatp.NextTransaction(); }, dcfg, nullptr));
     sim.Run();
 
-    std::map<std::string, std::string> state;
-    for (uint32_t id = 0; id < engine.db().num_tables(); ++id) {
-      engine::Table* t = engine.db().GetTable(id);
-      for (auto& [k, v] : t->ScanAll()) state[t->name() + "/" + k] = v;
-    }
-    return std::make_pair(engine.metrics().commits, state);
+    return std::make_pair(engine.metrics().commits, engine.db().Snapshot());
   };
 
   const auto [paged_commits, paged_state] = run(false);

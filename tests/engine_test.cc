@@ -389,24 +389,6 @@ TEST(OverlayEngineTest, QueriesSeeUnmergedUpdates) {
 
 // ---------------------------------------------------------------- recovery --
 
-/// Recovery target applying redo into a table's base storage.
-class TableTarget : public wal::RecoveryTarget {
- public:
-  explicit TableTarget(Database* db) : db_(db) {}
-  void RedoInsert(uint32_t table, Slice key, Slice value) override {
-    BIONICDB_CHECK(db_->GetTable(table)->BasePut(key, value).ok());
-  }
-  void RedoUpdate(uint32_t table, Slice key, Slice value) override {
-    BIONICDB_CHECK(db_->GetTable(table)->BasePut(key, value).ok());
-  }
-  void RedoDelete(uint32_t table, Slice key) override {
-    (void)db_->GetTable(table)->BaseDelete(key);
-  }
-
- private:
-  Database* db_;
-};
-
 TEST(EngineRecoveryTest, CrashLosesNothingCommitted) {
   // Run committed + aborted transactions on engine A, then replay A's
   // durable log into a fresh engine B loaded with the original data.
@@ -452,7 +434,7 @@ TEST(EngineRecoveryTest, CrashLosesNothingCommitted) {
   for (uint64_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(b.engine.LoadRow(tb, EncodeKeyU64(i), "init").ok());
   }
-  TableTarget target(&b.engine.db());
+  BaseStorageTarget target(&b.engine.db());
   wal::RecoveryStats stats;
   ASSERT_TRUE(
       wal::Recover(a.engine.log()->durable_prefix(), &target, &stats).ok());

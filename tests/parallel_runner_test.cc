@@ -66,6 +66,9 @@ TEST(ParallelRunnerTest, EngineRunsAreIdenticalAcrossThreads) {
   }
 }
 
+// Two corpora: mangled tails of one engine's log, and the consistent cuts
+// of a 3-shard cluster running 40% cross-shard transactions, whose every
+// point recovers three shards and checks 2PC atomicity.
 TEST(ParallelRunnerTest, CrashCorpusParallelMatchesSerial) {
   workload::CrashHarnessConfig cfg;
   cfg.mode = engine::EngineMode::kDora;
@@ -74,25 +77,33 @@ TEST(ParallelRunnerTest, CrashCorpusParallelMatchesSerial) {
   cfg.txns = 60;
   cfg.scale = 50;
   workload::CrashHarness harness(cfg);
-  const std::vector<size_t>& offsets = harness.record_offsets();
+  const std::vector<size_t>& offsets = harness.record_offsets(0);
   ASSERT_GE(offsets.size(), 8u);
 
   std::vector<workload::CrashHarness::CrashPoint> points;
   const size_t stride = offsets.size() / 4;
   for (size_t i = stride; i < offsets.size(); i += stride) {
-    points.push_back({offsets[i], workload::TailFault::kCleanCut, 1});
-    points.push_back({offsets[i] + 2, workload::TailFault::kZeroFill, 2});
-    points.push_back({offsets[i], workload::TailFault::kBitFlip, 3});
+    points.push_back({{offsets[i]}, workload::TailFault::kCleanCut, 1});
+    points.push_back({{offsets[i] + 2}, workload::TailFault::kZeroFill, 2});
+    points.push_back({{offsets[i]}, workload::TailFault::kBitFlip, 3});
   }
 
-  std::vector<std::string> serial;
-  for (const auto& p : points) {
-    serial.push_back(harness.CheckCrashPoint(p.cut, p.fault, p.seed));
+  workload::CrashHarnessConfig sharded =
+      workload::CrashHarnessConfig::ThreeShardCrossShard();
+  sharded.txns = 120;
+  workload::CrashHarness sharded_harness(sharded);
+  std::vector<workload::CrashHarness::CrashPoint> cuts;
+  for (const auto& s : sharded_harness.samples()) cuts.push_back(s.point);
+  ASSERT_GE(cuts.size(), 8u);
+
+  for (auto [h, corpus] : {std::pair{&harness, &points},
+                           std::pair{&sharded_harness, &cuts}}) {
+    std::vector<std::string> serial;
+    for (const auto& p : *corpus) serial.push_back(h->CheckCrashPoint(p));
+    const std::vector<std::string> parallel = h->CheckCrashPoints(*corpus, 4);
+    EXPECT_EQ(parallel, serial);
+    for (const std::string& f : parallel) EXPECT_EQ(f, "");
   }
-  const std::vector<std::string> parallel =
-      harness.CheckCrashPoints(points, 4);
-  EXPECT_EQ(parallel, serial);
-  for (const std::string& f : parallel) EXPECT_EQ(f, "");
 }
 
 }  // namespace

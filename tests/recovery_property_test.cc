@@ -4,7 +4,6 @@
 // recovery must tolerate arbitrary torn tails.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 
 #include "common/parallel_for.h"
@@ -32,58 +31,12 @@ struct CrashParams {
 
 class RecoveryPropertyTest : public ::testing::TestWithParam<CrashParams> {};
 
-EngineConfig ConfigFor(EngineMode mode) {
-  switch (mode) {
-    case EngineMode::kConventional:
-      return EngineConfig::Conventional();
-    case EngineMode::kDora: {
-      EngineConfig c = EngineConfig::Dora();
-      c.num_partitions = 4;
-      return c;
-    }
-    case EngineMode::kBionic: {
-      EngineConfig c = EngineConfig::Bionic();
-      c.num_partitions = 4;
-      return c;
-    }
-  }
-  return EngineConfig::Dora();
-}
-
-/// Recovery target applying into fresh tables' base storage.
-class DbTarget : public wal::RecoveryTarget {
- public:
-  explicit DbTarget(engine::Database* db) : db_(db) {}
-  void RedoInsert(uint32_t t, Slice k, Slice v) override {
-    BIONICDB_CHECK(db_->GetTable(t)->BasePut(k, v).ok());
-  }
-  void RedoUpdate(uint32_t t, Slice k, Slice v) override {
-    BIONICDB_CHECK(db_->GetTable(t)->BasePut(k, v).ok());
-  }
-  void RedoDelete(uint32_t t, Slice k) override {
-    (void)db_->GetTable(t)->BaseDelete(k);
-  }
-
- private:
-  engine::Database* db_;
-};
-
-std::map<std::string, std::string> LogicalState(
-    workload::TatpWorkload& tatp) {
-  std::map<std::string, std::string> state;
-  for (auto* t : {tatp.subscriber(), tatp.access_info(),
-                  tatp.special_facility(), tatp.call_forwarding()}) {
-    for (auto& [k, v] : t->ScanAll()) state[t->name() + "/" + k] = v;
-  }
-  return state;
-}
-
 TEST_P(RecoveryPropertyTest, ReplayingDurableLogReproducesFinalState) {
   const CrashParams p = GetParam();
 
   // --- Original run: a mixed TATP workload with writes and aborts. -------
   Simulator sim;
-  Engine engine(&sim, ConfigFor(p.mode));
+  Engine engine(&sim, workload::HarnessEngineConfig(p.mode));
   workload::TatpConfig wcfg;
   wcfg.subscribers = 150;
   wcfg.seed = p.seed;
@@ -96,23 +49,23 @@ TEST_P(RecoveryPropertyTest, ReplayingDurableLogReproducesFinalState) {
   sim.Spawn(workload::RunClosedLoop(
       &engine, [&]() { return tatp.NextTransaction(); }, dcfg, nullptr));
   sim.Run();
-  const auto original = LogicalState(tatp);
+  const auto original = engine.db().Snapshot();
 
   // Every commit waits for durability, so the durable prefix contains every
   // committed transaction: recovery from it must reproduce `original`.
   Simulator sim2;
-  Engine fresh(&sim2, ConfigFor(p.mode));
+  Engine fresh(&sim2, workload::HarnessEngineConfig(p.mode));
   workload::TatpConfig wcfg2 = wcfg;  // identical initial population
   workload::TatpWorkload tatp2(&fresh, wcfg2);
   ASSERT_TRUE(tatp2.Load().ok());
-  DbTarget target(&fresh.db());
+  engine::BaseStorageTarget target(&fresh.db());
   wal::RecoveryStats stats;
   ASSERT_TRUE(
       wal::Recover(engine.log()->durable_prefix(), &target, &stats).ok());
 
   // Compare base-data logical state (the fresh engine has no overlay
   // writes, so ScanAll == base state).
-  const auto recovered = LogicalState(tatp2);
+  const auto recovered = fresh.db().Snapshot();
   EXPECT_EQ(recovered.size(), original.size());
   EXPECT_EQ(recovered, original);
 }
@@ -120,7 +73,7 @@ TEST_P(RecoveryPropertyTest, ReplayingDurableLogReproducesFinalState) {
 TEST_P(RecoveryPropertyTest, TornTailsNeverCrashAndStayPrefixConsistent) {
   const CrashParams p = GetParam();
   Simulator sim;
-  Engine engine(&sim, ConfigFor(p.mode));
+  Engine engine(&sim, workload::HarnessEngineConfig(p.mode));
   workload::TatpConfig wcfg;
   wcfg.subscribers = 80;
   wcfg.seed = p.seed;
@@ -141,10 +94,10 @@ TEST_P(RecoveryPropertyTest, TornTailsNeverCrashAndStayPrefixConsistent) {
     const size_t len = rng.Uniform(full.size() + 1);
     // Recover from an arbitrary truncation: must never fail or crash.
     Simulator simf;
-    Engine fresh(&simf, ConfigFor(p.mode));
+    Engine fresh(&simf, workload::HarnessEngineConfig(p.mode));
     workload::TatpWorkload tatp2(&fresh, wcfg);
     ASSERT_TRUE(tatp2.Load().ok());
-    DbTarget target(&fresh.db());
+    engine::BaseStorageTarget target(&fresh.db());
     wal::RecoveryStats stats;
     ASSERT_TRUE(wal::Recover(Slice(full.data(), len), &target, &stats).ok())
         << "cut at " << len;
@@ -153,13 +106,13 @@ TEST_P(RecoveryPropertyTest, TornTailsNeverCrashAndStayPrefixConsistent) {
   }
   // Recovery of the complete log sees every committed transaction.
   Simulator simf;
-  Engine fresh(&simf, ConfigFor(p.mode));
+  Engine fresh(&simf, workload::HarnessEngineConfig(p.mode));
   workload::TatpWorkload tatp2(&fresh, wcfg);
   ASSERT_TRUE(tatp2.Load().ok());
-  DbTarget target(&fresh.db());
+  engine::BaseStorageTarget target(&fresh.db());
   wal::RecoveryStats stats;
   ASSERT_TRUE(wal::Recover(Slice(full), &target, &stats).ok());
-  EXPECT_EQ(LogicalState(tatp2), LogicalState(tatp));
+  EXPECT_EQ(fresh.db().Snapshot(), engine.db().Snapshot());
 }
 
 // Randomized crash-point sweep: for each (mode, seed), cut the log at 12
@@ -179,7 +132,8 @@ TEST_P(RecoveryPropertyTest, CrashPointCorporaMatchCommittedOracle) {
   workload::CrashHarness harness(cfg);
   const workload::CrashRunResult& run = harness.Run();
   ASSERT_GT(run.commits, 0u);
-  ASSERT_GT(run.log.size(), 0u);
+  const size_t log_size = run.shards[0].log.size();
+  ASSERT_GT(log_size, 0u);
 
   const workload::TailFault corpus[] = {workload::TailFault::kCleanCut,
                                         workload::TailFault::kZeroFill,
@@ -187,9 +141,9 @@ TEST_P(RecoveryPropertyTest, CrashPointCorporaMatchCommittedOracle) {
   Rng rng(p.seed ^ 0xFA017u);
   std::vector<workload::CrashHarness::CrashPoint> points;
   for (int i = 0; i < 12; ++i) {
-    const size_t cut = rng.Uniform(run.log.size() + 1);
+    const size_t cut = rng.Uniform(log_size + 1);
     for (workload::TailFault fault : corpus) {
-      points.push_back({cut, fault, p.seed + static_cast<uint64_t>(i)});
+      points.push_back({{cut}, fault, p.seed + static_cast<uint64_t>(i)});
     }
   }
   // Checked through the deterministic multi-core runner: each point
@@ -199,7 +153,7 @@ TEST_P(RecoveryPropertyTest, CrashPointCorporaMatchCommittedOracle) {
       harness.CheckCrashPoints(points, common::DefaultJobs());
   for (size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(failures[i], "")
-        << "point " << i << " cut=" << points[i].cut << " fault="
+        << "point " << i << " cut=" << points[i].cuts[0] << " fault="
         << workload::TailFaultName(points[i].fault);
   }
 }
@@ -221,8 +175,8 @@ TEST(RecoveryClrTest, TpccAbortsCompensateOnlyLoggedWrites) {
   const workload::CrashRunResult& run = harness.Run();
   ASSERT_GT(run.commits, 0u);
   ASSERT_GT(run.aborts, 0u);
-  EXPECT_EQ(harness.CheckCrashPoint(run.log.size(),
-                                    workload::TailFault::kCleanCut, 1),
+  const size_t end = run.shards[0].log.size();
+  EXPECT_EQ(harness.CheckCrashPoint({{end}, workload::TailFault::kCleanCut, 1}),
             "");
 }
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -21,10 +22,11 @@
 #include "sim/simulator.h"
 #include "wal/record.h"
 #include "wal/recovery.h"
+#include "workload/crash_harness.h"
 #include "workload/driver.h"
-#include "workload/sharded_driver.h"
 #include "workload/sharded_tatp.h"
 #include "workload/tatp.h"
+#include "workload/tpcc.h"
 
 namespace bionicdb::shard {
 namespace {
@@ -34,9 +36,8 @@ using engine::EngineConfig;
 using sim::Simulator;
 using sim::Task;
 using workload::DriverConfig;
+using workload::DriverReport;
 using workload::RunClosedLoop;
-using workload::RunShardedClosedLoop;
-using workload::ShardedDriverReport;
 using workload::ShardedTatp;
 using workload::ShardedTatpConfig;
 using workload::TatpConfig;
@@ -53,15 +54,6 @@ ClusterConfig SmallCluster(int shards) {
   c.num_shards = shards;
   c.engine = SmallDora();
   return c;
-}
-
-std::map<std::string, std::string> StateOf(engine::Database& db) {
-  std::map<std::string, std::string> state;
-  for (uint32_t id = 0; id < db.num_tables(); ++id) {
-    engine::Table* t = db.GetTable(id);
-    for (auto& [k, v] : t->ScanAll()) state[t->name() + "/" + k] = v;
-  }
-  return state;
 }
 
 // ------------------------------------------------------------- router --
@@ -89,51 +81,97 @@ TEST(RouterTest, ShardOfIsStableAndSpreads) {
 
 // ---------------------------------------------------------- passivity --
 
-/// The acceptance criterion of the sharding PR, in miniature: the same
-/// closed-loop TATP run through a 1-shard cluster and through the plain
-/// engine must produce byte-identical WALs, the same commit counts, and
-/// the same final virtual time.
+/// The premise the closed-loop driver and the crash harness rest on: the
+/// same closed-loop run through a 1-shard cluster and through the plain
+/// engine produces byte-identical WALs, the same commit and abort counts,
+/// and the same final virtual time — in every engine mode, on TATP and on
+/// TPC-C (each TPC-C transaction wrapped as one fragment on shard 0).
 TEST(ShardClusterTest, SingleShardPassivityBitIdentical) {
   DriverConfig dcfg;
   dcfg.clients = 8;
   dcfg.warmup_txns = 100;
   dcfg.measured_txns = 1000;
+  TatpConfig tatp_cfg;
+  tatp_cfg.subscribers = 500;
+  workload::TpccConfig tpcc_cfg;
+  tpcc_cfg.districts_per_warehouse = 2;
+  tpcc_cfg.customers_per_district = 20;
+  tpcc_cfg.items = 100;
+  tpcc_cfg.initial_orders_per_district = 10;
 
-  // Unsharded reference run.
-  Simulator ref_sim;
-  Engine ref_engine(&ref_sim, SmallDora());
-  TatpConfig ref_wcfg;
-  ref_wcfg.subscribers = 500;
-  TatpWorkload ref_tatp(&ref_engine, ref_wcfg);
-  ASSERT_TRUE(ref_tatp.Load().ok());
-  workload::DriverReport ref_report;
-  ref_sim.Spawn(RunClosedLoop(
-      &ref_engine, [&] { return ref_tatp.NextTransaction(); }, dcfg,
-      &ref_report));
-  ref_sim.Run();
+  for (engine::EngineMode mode :
+       {engine::EngineMode::kConventional, engine::EngineMode::kDora,
+        engine::EngineMode::kBionic}) {
+    for (bool use_tpcc : {false, true}) {
+      SCOPED_TRACE(std::string(engine::EngineModeName(mode)) +
+                   (use_tpcc ? " TPC-C" : " TATP"));
 
-  // Same run through a 1-shard cluster.
-  Simulator sim;
-  Cluster cluster(&sim, SmallCluster(1));
-  ShardedTatpConfig wcfg;
-  wcfg.subscribers = 500;
-  ShardedTatp tatp(&cluster, wcfg);
-  ASSERT_TRUE(tatp.Load().ok());
-  ShardedDriverReport report;
-  sim.Spawn(RunShardedClosedLoop(
-      &cluster, [&] { return tatp.NextTransaction(); }, dcfg, &report));
-  sim.Run();
+      // Unsharded reference run.
+      Simulator ref_sim;
+      Engine ref_engine(&ref_sim, workload::HarnessEngineConfig(mode));
+      std::unique_ptr<TatpWorkload> ref_tatp;
+      std::unique_ptr<workload::TpccWorkload> ref_tpcc;
+      if (use_tpcc) {
+        ref_tpcc =
+            std::make_unique<workload::TpccWorkload>(&ref_engine, tpcc_cfg);
+        ASSERT_TRUE(ref_tpcc->Load().ok());
+      } else {
+        ref_tatp = std::make_unique<TatpWorkload>(&ref_engine, tatp_cfg);
+        ASSERT_TRUE(ref_tatp->Load().ok());
+      }
+      DriverReport ref_report;
+      ref_sim.Spawn(RunClosedLoop(
+          &ref_engine,
+          [&] {
+            return ref_tpcc ? ref_tpcc->NextTransaction()
+                            : ref_tatp->NextTransaction();
+          },
+          dcfg, &ref_report));
+      ref_sim.Run();
 
-  EXPECT_EQ(sim.Now(), ref_sim.Now());
-  EXPECT_EQ(cluster.TotalCommits(), ref_engine.metrics().commits);
-  EXPECT_EQ(cluster.TotalAborts(), ref_engine.metrics().aborts);
-  EXPECT_EQ(report.submitted(), ref_report.submitted);
-  EXPECT_EQ(report.retries(), ref_report.retries);
-  // The strongest form: every logged byte identical.
-  EXPECT_EQ(cluster.shard(0)->log()->buffer(), ref_engine.log()->buffer());
-  // And no distributed machinery fired.
-  EXPECT_EQ(cluster.tpc_stats().started, 0u);
-  EXPECT_EQ(report.cross_shard_submitted, 0u);
+      // Same run through a 1-shard cluster.
+      Simulator sim;
+      ClusterConfig cc;
+      cc.num_shards = 1;
+      cc.engine = workload::HarnessEngineConfig(mode);
+      Cluster cluster(&sim, cc);
+      std::unique_ptr<ShardedTatp> tatp;
+      std::unique_ptr<workload::TpccWorkload> tpcc;
+      if (use_tpcc) {
+        tpcc = std::make_unique<workload::TpccWorkload>(cluster.shard(0),
+                                                        tpcc_cfg);
+        ASSERT_TRUE(tpcc->Load().ok());
+      } else {
+        ShardedTatpConfig wcfg;
+        wcfg.subscribers = tatp_cfg.subscribers;
+        tatp = std::make_unique<ShardedTatp>(&cluster, wcfg);
+        ASSERT_TRUE(tatp->Load().ok());
+      }
+      DriverReport report;
+      sim.Spawn(RunClosedLoop(
+          &cluster,
+          [&] {
+            if (tatp) return tatp->NextTransaction();
+            ShardedTxn txn;
+            txn.fragments.push_back({0, tpcc->NextTransaction()});
+            return txn;
+          },
+          dcfg, &report));
+      sim.Run();
+
+      EXPECT_EQ(sim.Now(), ref_sim.Now());
+      EXPECT_EQ(cluster.TotalCommits(), ref_engine.metrics().commits);
+      EXPECT_EQ(cluster.TotalAborts(), ref_engine.metrics().aborts);
+      EXPECT_EQ(report.submitted, ref_report.submitted);
+      EXPECT_EQ(report.retries, ref_report.retries);
+      // The strongest form: every logged byte identical.
+      EXPECT_EQ(cluster.shard(0)->log()->buffer(),
+                ref_engine.log()->buffer());
+      // And no distributed machinery fired.
+      EXPECT_EQ(cluster.tpc_stats().started, 0u);
+      EXPECT_EQ(report.cross_shard_submitted, 0u);
+    }
+  }
 }
 
 /// The bench pin, as a unit test: the shard_closed_1 row's exact
@@ -156,8 +194,8 @@ TEST(ShardClusterTest, SingleShardThroughputPinExact) {
   dcfg.clients = 32;
   dcfg.warmup_txns = 2000;
   dcfg.measured_txns = 6000;
-  ShardedDriverReport report;
-  sim.Spawn(RunShardedClosedLoop(
+  DriverReport report;
+  sim.Spawn(RunClosedLoop(
       &cluster, [&] { return tatp.NextTransaction(); }, dcfg, &report));
   sim.Run();
 
@@ -185,7 +223,7 @@ TEST(ShardClusterTest, ShardedLoadPartitionsDatabase) {
   ref_wcfg.subscribers = kSubs;
   TatpWorkload ref_tatp(&ref_engine, ref_wcfg);
   ASSERT_TRUE(ref_tatp.Load().ok());
-  const auto ref_state = StateOf(ref_engine.db());
+  const auto ref_state = ref_engine.db().Snapshot();
 
   Simulator sim;
   Cluster cluster(&sim, SmallCluster(3));
@@ -196,7 +234,7 @@ TEST(ShardClusterTest, ShardedLoadPartitionsDatabase) {
 
   std::map<std::string, std::string> merged;
   for (int i = 0; i < cluster.num_shards(); ++i) {
-    for (const auto& [k, v] : StateOf(cluster.shard(i)->db())) {
+    for (const auto& [k, v] : cluster.shard(i)->db().Snapshot()) {
       auto [it, inserted] = merged.emplace(k, v);
       EXPECT_TRUE(inserted) << "row " << k << " loaded on two shards";
     }
@@ -276,18 +314,18 @@ void ExpectConcurrentLoadBitIdentical(const EngineConfig& engine) {
   }
 
   for (int i = 0; i < cc.num_shards; ++i) {
-    EXPECT_EQ(StateOf(cluster.shard(i)->db()),
-              StateOf(ref_cluster.shard(i)->db()))
+    EXPECT_EQ(cluster.shard(i)->db().Snapshot(),
+              ref_cluster.shard(i)->db().Snapshot())
         << "shard " << i;
     EXPECT_EQ(PlacementOf(cluster.shard(i)->db()),
               PlacementOf(ref_cluster.shard(i)->db()))
         << "shard " << i;
   }
 
-  sim.Spawn(RunShardedClosedLoop(
+  sim.Spawn(RunClosedLoop(
       &cluster, [&] { return tatp.NextTransaction(); }, dcfg, nullptr));
   sim.Run();
-  ref_sim.Spawn(RunShardedClosedLoop(
+  ref_sim.Spawn(RunClosedLoop(
       &ref_cluster, [&] { return ref_tatp.NextTransaction(); }, dcfg,
       nullptr));
   ref_sim.Run();
@@ -420,7 +458,9 @@ TEST(TwoPhaseCommitTest, FailedBranchAbortsAtomicallyOnAllShards) {
   ASSERT_TRUE(tatp.Load().ok());
 
   std::vector<std::map<std::string, std::string>> before;
-  for (int i = 0; i < 2; ++i) before.push_back(StateOf(cluster.shard(i)->db()));
+  for (int i = 0; i < 2; ++i) {
+    before.push_back(cluster.shard(i)->db().Snapshot());
+  }
 
   // Shard 0's valid branch executes (locks held, write applied), then
   // shard 1's fragment targets a subscriber that does not exist and
@@ -437,7 +477,8 @@ TEST(TwoPhaseCommitTest, FailedBranchAbortsAtomicallyOnAllShards) {
   EXPECT_GT(cluster.tpc_stats().exec_aborts, 0u);
   // Atomicity: neither shard's state moved.
   for (int i = 0; i < 2; ++i) {
-    EXPECT_EQ(StateOf(cluster.shard(i)->db()), before[static_cast<size_t>(i)])
+    EXPECT_EQ(cluster.shard(i)->db().Snapshot(),
+              before[static_cast<size_t>(i)])
         << "shard " << i << " mutated by an aborted distributed txn";
   }
   // Presumed abort: no decision record anywhere.
@@ -499,23 +540,7 @@ TEST(TwoPhaseCommitTest, DecisionLiveUntilForgetDurable) {
   Cluster fresh(&fresh_sim, SmallCluster(2));
   ShardedTatp fresh_tatp(&fresh, wcfg);
   ASSERT_TRUE(fresh_tatp.Load().ok());
-  class DbTarget : public wal::RecoveryTarget {
-   public:
-    explicit DbTarget(engine::Database* db) : db_(db) {}
-    void RedoInsert(uint32_t t, Slice k, Slice v) override {
-      ASSERT_TRUE(db_->GetTable(t)->BasePut(k, v).ok());
-    }
-    void RedoUpdate(uint32_t t, Slice k, Slice v) override {
-      ASSERT_TRUE(db_->GetTable(t)->BasePut(k, v).ok());
-    }
-    void RedoDelete(uint32_t t, Slice k) override {
-      (void)db_->GetTable(t)->BaseDelete(k);
-    }
-
-   private:
-    engine::Database* db_;
-  };
-  DbTarget target(&fresh.shard(0)->db());
+  engine::BaseStorageTarget target(&fresh.shard(0)->db());
   wal::RecoveryStats stats;
   ASSERT_TRUE(
       wal::Recover(Slice(crash_image), &target, &stats, &decisions).ok());
@@ -523,7 +548,8 @@ TEST(TwoPhaseCommitTest, DecisionLiveUntilForgetDurable) {
   EXPECT_EQ(stats.prepared_aborted, 0u);
   EXPECT_EQ(stats.decision_records, 1u);
   EXPECT_EQ(stats.forget_records, 0u);
-  EXPECT_EQ(StateOf(fresh.shard(0)->db()), StateOf(cluster.shard(0)->db()))
+  EXPECT_EQ(fresh.shard(0)->db().Snapshot(),
+            cluster.shard(0)->db().Snapshot())
       << "coordinator crash image diverged from live state";
 }
 
@@ -736,16 +762,16 @@ TEST(ShardClusterTest, CrossShardTrafficCommitsAndIsAttributed) {
   dcfg.clients = 8;
   dcfg.warmup_txns = 100;
   dcfg.measured_txns = 1000;
-  ShardedDriverReport report;
-  sim.Spawn(RunShardedClosedLoop(
+  DriverReport report;
+  sim.Spawn(RunClosedLoop(
       &cluster, [&] { return tatp.NextTransaction(); }, dcfg, &report));
   sim.Run();
 
-  EXPECT_EQ(report.submitted(), 1000u);
+  EXPECT_EQ(report.submitted, 1000u);
   EXPECT_GT(report.cross_shard_submitted, 100u);  // ~20% of 1000
   EXPECT_GT(cluster.tpc_stats().committed, 0u);
-  // Per-shard attribution: every home shard saw traffic, and the totals
-  // reconcile with the aggregate.
+  // Per-shard attribution: every home shard saw traffic. The totals are
+  // the per-shard counters summed, so the first check above covers them.
   ASSERT_EQ(report.per_shard.size(), 4u);
   for (const auto& s : report.per_shard) EXPECT_GT(s.submitted, 0u);
   EXPECT_GT(cluster.TotalCommits(), 0u);
@@ -767,7 +793,7 @@ TEST(ShardClusterTest, DistributedRecoveryReplaysFullLog) {
   dcfg.clients = 4;
   dcfg.warmup_txns = 0;
   dcfg.measured_txns = 300;
-  sim.Spawn(RunShardedClosedLoop(
+  sim.Spawn(RunClosedLoop(
       &cluster, [&] { return tatp.NextTransaction(); }, dcfg, nullptr));
   sim.Run();
   ASSERT_GT(cluster.tpc_stats().committed, 0u);
@@ -791,30 +817,14 @@ TEST(ShardClusterTest, DistributedRecoveryReplaysFullLog) {
     ShardedTatp fresh_tatp(&fresh, wcfg);
     ASSERT_TRUE(fresh_tatp.Load().ok());
 
-    class DbTarget : public wal::RecoveryTarget {
-     public:
-      explicit DbTarget(engine::Database* db) : db_(db) {}
-      void RedoInsert(uint32_t t, Slice k, Slice v) override {
-        ASSERT_TRUE(db_->GetTable(t)->BasePut(k, v).ok());
-      }
-      void RedoUpdate(uint32_t t, Slice k, Slice v) override {
-        ASSERT_TRUE(db_->GetTable(t)->BasePut(k, v).ok());
-      }
-      void RedoDelete(uint32_t t, Slice k) override {
-        (void)db_->GetTable(t)->BaseDelete(k);
-      }
-
-     private:
-      engine::Database* db_;
-    };
-    DbTarget target(&fresh.shard(i)->db());
+    engine::BaseStorageTarget target(&fresh.shard(i)->db());
     wal::RecoveryStats stats;
     ASSERT_TRUE(wal::Recover(Slice(cluster.shard(i)->log()->buffer()),
                              &target, &stats, &decisions)
                     .ok());
     prepared_committed += stats.prepared_committed;
-    EXPECT_EQ(StateOf(fresh.shard(i)->db()),
-              StateOf(cluster.shard(i)->db()))
+    EXPECT_EQ(fresh.shard(i)->db().Snapshot(),
+              cluster.shard(i)->db().Snapshot())
         << "shard " << i << " recovery diverged from live state";
   }
   // The full log holds every prepared branch; with the complete decision

@@ -42,23 +42,6 @@ EngineConfig StressCfg(EngineMode mode) {
   return c;
 }
 
-class DbTarget : public wal::RecoveryTarget {
- public:
-  explicit DbTarget(engine::Database* db) : db_(db) {}
-  void RedoInsert(uint32_t t, Slice k, Slice v) override {
-    BIONICDB_CHECK(db_->GetTable(t)->BasePut(k, v).ok());
-  }
-  void RedoUpdate(uint32_t t, Slice k, Slice v) override {
-    BIONICDB_CHECK(db_->GetTable(t)->BasePut(k, v).ok());
-  }
-  void RedoDelete(uint32_t t, Slice k) override {
-    (void)db_->GetTable(t)->BaseDelete(k);
-  }
-
- private:
-  engine::Database* db_;
-};
-
 TEST_P(StressTest, MixedSessionWithMaintenanceSurvivesAudit) {
   Simulator sim;
   Engine engine(&sim, StressCfg(GetParam()));

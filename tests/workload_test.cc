@@ -335,12 +335,7 @@ TEST(WorkloadEquivalenceTest, AllEnginesProduceIdenticalTatpState) {
       co_await eng->Shutdown();
     }(&engine, &tatp));
     sim.Run();
-    std::map<std::string, std::string> state;
-    for (auto* t : {tatp.subscriber(), tatp.access_info(),
-                    tatp.special_facility(), tatp.call_forwarding()}) {
-      for (auto& [k, v] : t->ScanAll()) state[t->name() + "/" + k] = v;
-    }
-    return state;
+    return engine.db().Snapshot();
   };
   auto conventional = final_state(EngineMode::kConventional);
   auto dora = final_state(EngineMode::kDora);

@@ -101,8 +101,38 @@ void RunSocketsGrid(size_t jobs) {
   }
 }
 
-/// Crash-recovery corpus: every (cut, fault) point recovers a fresh engine
-/// from a mangled log image and diffs it against the committed oracle.
+/// Checks `points` on `harness`, printing one line per point and a summary
+/// line; exits 1 on any divergence.
+void CheckAndPrint(
+    workload::CrashHarness* harness,
+    const std::vector<workload::CrashHarness::CrashPoint>& points,
+    const char* summary_tag, size_t jobs) {
+  const std::vector<std::string> failures =
+      harness->CheckCrashPoints(points, jobs);
+  size_t bad = 0;
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (failures[i].empty()) {
+      std::string cuts;
+      for (size_t cut : points[i].cuts) {
+        cuts += (cuts.empty() ? "" : ",") + std::to_string(cut);
+      }
+      std::printf("crash        %-10s cut=%-8s ok\n",
+                  workload::TailFaultName(points[i].fault), cuts.c_str());
+    } else {
+      ++bad;
+      std::printf("crash        FAIL %s\n", failures[i].c_str());
+    }
+  }
+  std::printf("crash        %zu points%s, %zu divergent\n", points.size(),
+              summary_tag, bad);
+  if (bad != 0) std::exit(1);
+}
+
+/// Crash-recovery corpora: every (cut, fault) point recovers a fresh engine
+/// from a mangled log image and diffs it against the committed oracle; then
+/// every consistent cut sampled on a 3-shard cluster running 40%
+/// cross-shard transactions recovers all three shards and checks 2PC
+/// atomicity.
 void RunCrashGrid(size_t jobs) {
   workload::CrashHarnessConfig cfg;
   cfg.mode = engine::EngineMode::kDora;
@@ -111,8 +141,8 @@ void RunCrashGrid(size_t jobs) {
   cfg.txns = 120;
   cfg.scale = 80;
   workload::CrashHarness harness(cfg);
-  const std::vector<size_t>& offsets = harness.record_offsets();
-  const size_t log_size = harness.Run().log.size();
+  const std::vector<size_t>& offsets = harness.record_offsets(0);
+  const size_t log_size = harness.Run().shards[0].log.size();
 
   std::vector<workload::CrashHarness::CrashPoint> points;
   const size_t stride = offsets.size() < 12 ? 1 : offsets.size() / 12;
@@ -120,26 +150,18 @@ void RunCrashGrid(size_t jobs) {
     for (workload::TailFault fault :
          {workload::TailFault::kCleanCut, workload::TailFault::kZeroFill,
           workload::TailFault::kBitFlip}) {
-      points.push_back({offsets[i] + 3, fault,
+      points.push_back({{offsets[i] + 3}, fault,
                         cfg.seed ^ (offsets[i] * 0x9E3779B97F4A7C15ull)});
     }
   }
-  points.push_back({log_size, workload::TailFault::kCleanCut, cfg.seed});
+  points.push_back({{log_size}, workload::TailFault::kCleanCut, cfg.seed});
+  CheckAndPrint(&harness, points, "", jobs);
 
-  const std::vector<std::string> failures =
-      harness.CheckCrashPoints(points, jobs);
-  size_t bad = 0;
-  for (size_t i = 0; i < points.size(); ++i) {
-    if (failures[i].empty()) {
-      std::printf("crash        %-10s cut=%-8zu ok\n",
-                  workload::TailFaultName(points[i].fault), points[i].cut);
-    } else {
-      ++bad;
-      std::printf("crash        FAIL %s\n", failures[i].c_str());
-    }
-  }
-  std::printf("crash        %zu points, %zu divergent\n", points.size(), bad);
-  if (bad != 0) std::exit(1);
+  workload::CrashHarness sharded_harness(
+      workload::CrashHarnessConfig::ThreeShardCrossShard());
+  std::vector<workload::CrashHarness::CrashPoint> cuts;
+  for (const auto& s : sharded_harness.samples()) cuts.push_back(s.point);
+  CheckAndPrint(&sharded_harness, cuts, " on 3 shards", jobs);
 }
 
 }  // namespace
