@@ -5,8 +5,6 @@
 // Runs the TATP mix on the bionic platform with each unit toggled
 // individually (one-on sweeps and one-off sweeps around the all-on
 // configuration), reporting throughput and energy per transaction.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -83,34 +81,9 @@ void PrintAblation() {
               "Dora, front-end — remains, as Figure 4 prescribes.)\n");
 }
 
-void BM_Ablation(benchmark::State& state) {
-  engine::OffloadConfig o = engine::OffloadConfig::AllOff();
-  switch (state.range(0)) {
-    case 0:
-      break;
-    case 1:
-      o.tree_probe = true;
-      break;
-    case 2:
-      o.logging = true;
-      break;
-    case 3:
-      o = engine::OffloadConfig::AllOn();
-      break;
-  }
-  for (auto _ : state) {
-    RunResult r = bench::RunTatpMix(BionicWith(o));
-    state.counters["txn_per_sec"] = r.txn_per_sec;
-    state.counters["uJ_per_txn"] = r.uj_per_txn;
-  }
-}
-BENCHMARK(BM_Ablation)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintAblation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

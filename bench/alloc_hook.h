@@ -5,7 +5,7 @@
 // BIONICDB_ALLOC_HOOK_DEFINE before including this header; that TU provides
 // the replacement global allocation functions. Every TU may include the
 // header to read the counters. The hook counts *all* allocations in the
-// process (including gtest/benchmark internals), so measurements must
+// process (including gtest internals), so measurements must
 // snapshot the counter around the region of interest.
 #pragma once
 

@@ -10,8 +10,6 @@
 //   (b) one asynchronous predictable wait — the agent parks the item and
 //       switches to other queued work (the core is released).
 // Same per-item latency budget; very different throughput.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "sim/resource.h"
@@ -112,20 +110,9 @@ void PrintAsyncHiding() {
               static_cast<double>(kCpuWorkNs + kTotalDelayNs) / 1e3);
 }
 
-void BM_AsyncVsSync(benchmark::State& state) {
-  const int agents = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.counters["sync_items_per_s"] = SyncStallThroughput(agents);
-    state.counters["async_items_per_s"] = AsyncThroughput(agents);
-  }
-}
-BENCHMARK(BM_AsyncVsSync)->Arg(6)->Arg(24);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintAsyncHiding();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

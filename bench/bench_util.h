@@ -3,11 +3,11 @@
 //
 // Benchmarks run deterministic simulations, so the interesting output is
 // the *simulated* throughput/energy/breakdown, not host wall time. Each
-// binary registers google-benchmark entries (one iteration each) whose
-// counters carry the simulated results, and prints a paper-style table.
+// figure binary prints paper-style tables of those results and exits;
+// host time belongs to bench/wallclock and perfbench.
 //
-// Header-only and benchmark-framework-free on purpose: tier-1 tests
-// (tests/breakdown_test.cc) include it too.
+// Header-only on purpose: tier-1 tests (tests/breakdown_test.cc) include
+// it too.
 #pragma once
 
 #include <array>

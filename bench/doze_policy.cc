@@ -12,8 +12,6 @@
 //     queue engine) at the eager-doze setting — hardware shrinks the
 //     penalty of dozing but the *policy* question remains, exactly as the
 //     paper says.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -67,21 +65,9 @@ void PrintDoze() {
               "that cost: scheduling remains software's problem (S5.5).\n");
 }
 
-void BM_DozePolicy(benchmark::State& state) {
-  for (auto _ : state) {
-    RunResult r = RunDoze(static_cast<int>(state.range(0)),
-                          state.range(1) != 0, 4);
-    state.counters["txn_per_sec"] = r.txn_per_sec;
-    state.counters["uJ_per_txn"] = r.uj_per_txn;
-  }
-}
-BENCHMARK(BM_DozePolicy)->Args({4, 0})->Args({64, 0})->Args({4, 1});
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintDoze();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // The fair way to test the claim: fix the offered load (open-loop arrival
 // at a rate all engines sustain) and compare the energy each architecture
 // burns to do the SAME work, splitting active energy from idle.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -109,25 +107,9 @@ void PrintEnergyClaim() {
               active[0] / active[2], active[1] / active[2]);
 }
 
-void BM_EnergyAtEqualLoad(benchmark::State& state) {
-  engine::EngineConfig cfg = state.range(0) == 2
-                                 ? engine::EngineConfig::Bionic()
-                                 : (state.range(0) == 1
-                                        ? engine::EngineConfig::Dora()
-                                        : engine::EngineConfig::Conventional());
-  for (auto _ : state) {
-    EnergyResult r = RunOpenLoop(cfg, 5000, 3000);
-    state.counters["uJ_active"] = r.uj_per_txn_active;
-    state.counters["uJ_total"] = r.uj_per_txn_total;
-  }
-}
-BENCHMARK(BM_EnergyAtEqualLoad)->Arg(0)->Arg(1)->Arg(2);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintEnergyClaim();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

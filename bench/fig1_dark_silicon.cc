@@ -3,8 +3,6 @@
 // envelope applied). Also reproduces the §2 projection ("20% of transistors
 // outside the 2018 power envelope, shrinking 30-50% each generation") and
 // the Hill-Marty argument against pure homogeneous scaling.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "darksilicon/amdahl.h"
@@ -51,35 +49,9 @@ void PrintFigure1() {
   }
 }
 
-void BM_Figure1(benchmark::State& state) {
-  ds::DarkSiliconModel model;
-  for (auto _ : state) {
-    auto rows = ds::ComputeFigure1(model);
-    benchmark::DoNotOptimize(rows);
-    state.counters["util_2011_s0.1pct"] = rows[2].utilization_2011_64c;
-    state.counters["util_2018_s0.1pct"] = rows[2].utilization_2018_1024c;
-    state.counters["util_2018_s0.01pct"] = rows[3].utilization_2018_1024c;
-  }
-}
-BENCHMARK(BM_Figure1);
-
-void BM_AmdahlUtilization(benchmark::State& state) {
-  const double serial = 1.0 / static_cast<double>(state.range(0));
-  const double cores = static_cast<double>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ds::AmdahlUtilization(serial, cores));
-  }
-}
-BENCHMARK(BM_AmdahlUtilization)
-    ->Args({1000, 64})
-    ->Args({1000, 1024})
-    ->Args({10000, 1024});
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintFigure1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

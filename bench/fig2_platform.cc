@@ -2,8 +2,6 @@
 // bandwidth and latency the Convey HC-2 spec sheet advertises on every
 // datapath (SG-DRAM 80 GB/s / 400 ns, host DDR3 20 GB/s / 400 ns, PCIe
 // 4 GB/s / 2 us RTT, SAS 12 Gbps / 5 ms, SSD 500 MB/s / 20 us).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "hw/platform.h"
@@ -75,24 +73,9 @@ void PrintFigure2() {
               static_cast<long long>(2 * spec.pcie.latency_ns));
 }
 
-void BM_PlatformLink(benchmark::State& state, double gbps,
-                     SimTime latency_ns) {
-  for (auto _ : state) {
-    LinkProbe p = Probe(gbps, latency_ns);
-    state.counters["gbps"] = p.measured_gbps;
-    state.counters["latency_ns"] = p.measured_latency_ns;
-  }
-}
-BENCHMARK_CAPTURE(BM_PlatformLink, sg_dram, 80.0, 400);
-BENCHMARK_CAPTURE(BM_PlatformLink, host_dram, 20.0, 400);
-BENCHMARK_CAPTURE(BM_PlatformLink, pcie, 4.0, 1000);
-BENCHMARK_CAPTURE(BM_PlatformLink, ssd, 0.5, 20000);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintFigure2();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

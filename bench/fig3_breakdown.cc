@@ -11,8 +11,6 @@
 // show double-digit DORA/queue and buffer-pool overheads — "the remaining
 // overheads fall into four main categories: (a) B+tree index probes;
 // (b) Logging; (c) Queue management and (d) Buffer pool management."
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -63,34 +61,9 @@ void PrintFigure3() {
               upd.breakdown.LargestComponent().c_str());
 }
 
-void BM_Fig3_UpdSubData(benchmark::State& state) {
-  for (auto _ : state) {
-    RunResult r = RunUpdSubData();
-    state.counters["btree_pct"] = r.breakdown.Percent("btree");
-    state.counters["log_pct"] = r.breakdown.Percent("log");
-    state.counters["bpool_pct"] = r.breakdown.Percent("bpool");
-    state.counters["dora_pct"] = r.breakdown.Percent("dora");
-    state.counters["txn_per_sec"] = r.txn_per_sec;
-  }
-}
-BENCHMARK(BM_Fig3_UpdSubData)->Unit(benchmark::kMillisecond);
-
-void BM_Fig3_StockLevel(benchmark::State& state) {
-  for (auto _ : state) {
-    RunResult r = RunStockLevel();
-    state.counters["btree_pct"] = r.breakdown.Percent("btree");
-    state.counters["bpool_pct"] = r.breakdown.Percent("bpool");
-    state.counters["log_pct"] = r.breakdown.Percent("log");
-    state.counters["txn_per_sec"] = r.txn_per_sec;
-  }
-}
-BENCHMARK(BM_Fig3_StockLevel)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintFigure3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -7,8 +7,6 @@
 // full-table scan queries. Compare the bionic engine with and without the
 // enhanced scanner, and the software engine, on: OLTP throughput while
 // scanning, scan latency, and bytes crossing the PCI bus.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -152,26 +150,9 @@ void PrintHybrid() {
               "scan sees the overlay's unmerged updates (live data).\n");
 }
 
-void BM_HybridAnalytics(benchmark::State& state) {
-  engine::EngineConfig cfg = engine::EngineConfig::Bionic();
-  if (state.range(0) == 0) cfg.offload.scanner = false;
-  for (auto _ : state) {
-    HybridResult r = RunHybrid(cfg);
-    state.counters["oltp_txn_per_sec"] = r.oltp_txn_per_sec;
-    state.counters["scan_ms"] = r.scan_ms_mean;
-    state.counters["pcie_mb"] = r.pcie_mb;
-    state.counters["oltp_p50_us"] = r.oltp_p50_us;
-    state.counters["oltp_p999_us"] = r.oltp_p999_us;
-    state.counters["tail_stage_p999_us"] = r.tail_stage_p999_us;
-  }
-}
-BENCHMARK(BM_HybridAnalytics)->Arg(0)->Arg(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintHybrid();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -7,8 +7,6 @@
 // Sweep (threads x sockets) and compare log-insert throughput of the
 // software CAS-contended buffer against the hardware log insertion unit,
 // with and without per-socket aggregation (the ablation knob).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -113,27 +111,9 @@ void PrintLogScalability() {
               hw_4s / sw_4s, "dozens of");
 }
 
-void BM_LogScalability(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const int sockets = static_cast<int>(state.range(1));
-  const bool hardware = state.range(2) != 0;
-  for (auto _ : state) {
-    state.counters["Minserts_per_s"] =
-        RunLog(hardware, threads, sockets, true) / 1e6;
-  }
-  state.SetLabel(hardware ? "hardware" : "software");
-}
-BENCHMARK(BM_LogScalability)
-    ->Args({16, 1, 0})
-    ->Args({64, 4, 0})
-    ->Args({16, 1, 1})
-    ->Args({64, 4, 1});
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintLogScalability();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

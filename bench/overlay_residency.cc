@@ -8,8 +8,6 @@
 // takes the abort -> software fetch (5 ms SAS) -> install -> retry path.
 // Shows where the overlay stops being a working set and becomes a cache —
 // and how brutally spinning-disk fetches punish the miss rate.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -88,21 +86,9 @@ void PrintResidency() {
               "working set and keeping only inodes when space is short.\n");
 }
 
-void BM_OverlayResidency(benchmark::State& state) {
-  const double residency = static_cast<double>(state.range(0)) / 100.0;
-  for (auto _ : state) {
-    ResidencyResult r = RunResidency(residency, 0);
-    state.counters["txn_per_sec"] = r.run.txn_per_sec;
-    state.counters["misses"] = static_cast<double>(r.misses);
-  }
-}
-BENCHMARK(BM_OverlayResidency)->Arg(100)->Arg(80)->Arg(50);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintResidency();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -7,8 +7,6 @@
 // throughput: it should climb ~linearly and flatten right around the unit's
 // hardware context count (12), far below the SG-DRAM bandwidth limit.
 // A second sweep compares against a software prober pinned to CPU cores.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "hw/platform.h"
@@ -88,19 +86,9 @@ void PrintSaturation() {
               80e9 / 64 / kTreeLevels / 1e6);
 }
 
-void BM_ProbeSaturation(benchmark::State& state) {
-  const int offered = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    state.counters["hw_probes_per_s"] = HwProbeRate(offered, 12);
-  }
-}
-BENCHMARK(BM_ProbeSaturation)->Arg(1)->Arg(4)->Arg(12)->Arg(32);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintSaturation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

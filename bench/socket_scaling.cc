@@ -8,8 +8,6 @@
 // DORA engine vs the bionic engine with the hardware log. Software gains
 // cores but pays cross-socket log contention and queue cacheline bouncing;
 // the hardware log's per-socket aggregation sidesteps both.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -65,22 +63,9 @@ void PrintSocketScaling() {
               sw4 / sw1, hw4 / sw4);
 }
 
-void BM_SocketScaling(benchmark::State& state) {
-  const int sockets = static_cast<int>(state.range(0));
-  const bool bionic = state.range(1) != 0;
-  for (auto _ : state) {
-    RunResult r = RunSockets(bionic, sockets);
-    state.counters["txn_per_sec"] = r.txn_per_sec;
-  }
-  state.SetLabel(bionic ? "bionic" : "dora");
-}
-BENCHMARK(BM_SocketScaling)->Args({1, 0})->Args({4, 0})->Args({4, 1});
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   PrintSocketScaling();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1328,99 +1328,37 @@ sim::Task<Status> Engine::AbortTxn(ExecContext& ctx, txn::Xct* xct) {
 
 sim::Task<Status> Engine::Execute(TxnSpec spec, int socket,
                                   uint64_t* priority, SimTime arrival_ts) {
+  BranchHandle h;
+  const Status st = co_await ExecuteBranch(&h, std::move(spec), socket,
+                                           priority, arrival_ts);
+  const Status finished = co_await FinishBranch(&h, st.ok());
+  co_return st.ok() ? finished : st;
+}
+
+sim::Task<Status> Engine::ExecuteBranch(BranchHandle* h, TxnSpec spec,
+                                        int socket, uint64_t* priority,
+                                        SimTime arrival_ts) {
   // Threaded runs drive transactions through ThreadedBackend::Execute; the
   // simulated path below must never run with the backend attached.
   BIONICDB_CHECK(threaded_ == nullptr);
   // Open-loop callers backdate `start` to the admission-queue enqueue time:
-  // latency.Add() below then records sojourn (queue wait included), and the
-  // admit-stage charge absorbs the wait. Accounting only — every event this
-  // coroutine schedules still happens at Now() or later.
+  // FinishBranch's latency.Add() then records sojourn (queue wait
+  // included), and the admit-stage charge absorbs the wait. Accounting
+  // only — every event this coroutine schedules still happens at Now() or
+  // later.
   const SimTime now0 = sim_->Now();
   BIONICDB_DCHECK(arrival_ts <= now0);
   const SimTime start = arrival_ts >= 0 ? arrival_ts : now0;
   // In-flight transactions overlap arbitrarily -> async spans on one track.
-  uint64_t span_id = 0;
-  if (tracer_) {
-    span_id = ++trace_txn_seq_;
-    tracer_->AsyncBegin(trace_txn_track_, trace_txn_name_, trace_txn_cat_,
-                        start, span_id);
-  }
-  // Flight recorder: acquire a pooled timeline (null when disabled; every
-  // charge site below and in the layers gates on the pointer).
-  obs::TxnTimeline* tl = flight_ ? flight_->Begin(start) : nullptr;
-  // Conventional engine: admission waits for a worker-pool slot.
-  if (workers_sem_) co_await workers_sem_->Acquire();
-  if (tl != nullptr) tl->Charge(obs::Stage::kAdmit, sim_->Now() - start);
-  const SimTime route0 = tl != nullptr ? sim_->Now() : 0;
-  co_await CpuWorkNoCore(platform_->cost().FrontendDispatchNs(),
-                         Component::kFrontend);
-  if (tl != nullptr) tl->Charge(obs::Stage::kRoute, sim_->Now() - route0);
-
-  auto xct = xm_->Begin();
-  if (priority != nullptr) {
-    if (*priority == 0) {
-      *priority = xct->priority;
-    } else {
-      xct->priority = *priority;
-    }
-  }
-  if (tl != nullptr) {
-    tl->txn_id = xct->id;
-    xct->timeline = tl;
-  }
-  ExecContext ctx;
-  ctx.engine = this;
-  ctx.xct = xct.get();
-  ctx.socket = socket;
-  ctx.core_held = false;
-  co_await CpuWorkNoCore(platform_->cost().XctBeginNs(), Component::kXct);
-
-  Status st = co_await RunAllPhases(spec, ctx);
-
-  if (st.ok()) {
-    st = co_await CommitTxn(ctx, xct.get());
-    if (st.ok()) {
-      ++metrics_.commits;
-    } else {
-      ++metrics_.aborts;
-    }
-  } else {
-    if (st.IsIOError()) ++metrics_.io_errors;
-    Status abort_st = co_await AbortTxn(ctx, xct.get());
-    BIONICDB_CHECK(abort_st.ok());
-    ++metrics_.aborts;
-  }
-  if (tracer_) {
-    const SimTime end = sim_->Now();
-    tracer_->Instant(trace_txn_track_,
-                     st.ok() ? trace_commit_name_ : trace_abort_name_,
-                     trace_txn_cat_, end);
-    tracer_->AsyncEnd(trace_txn_track_, trace_txn_name_, trace_txn_cat_, end,
-                      span_id);
-  }
-  metrics_.latency.Add(sim_->Now() - start);
-  if (tl != nullptr) {
-    // Detach before Finish: the recorder may recycle the record into the
-    // pool, and nothing must observe it through the Xct afterwards.
-    xct->timeline = nullptr;
-    flight_->Finish(tl, sim_->Now(), st.ok());
-  }
-  if (workers_sem_) workers_sem_->Release();
-  co_return st;
-}
-
-sim::Task<Status> Engine::ExecuteBranch(BranchHandle* h, TxnSpec spec,
-                                        int socket, uint64_t* priority) {
-  BIONICDB_CHECK(threaded_ == nullptr);
-  // Mirrors Execute() up to (and excluding) the commit protocol; the
-  // cluster's 2PC supplies that via PrepareBranch/FinishBranch.
-  const SimTime start = sim_->Now();
   if (tracer_) {
     h->span_id = ++trace_txn_seq_;
     tracer_->AsyncBegin(trace_txn_track_, trace_txn_name_, trace_txn_cat_,
                         start, h->span_id);
   }
+  // Flight recorder: acquire a pooled timeline (null when disabled; every
+  // charge site below and in the layers gates on the pointer).
   obs::TxnTimeline* tl = flight_ ? flight_->Begin(start) : nullptr;
+  // Conventional engine: admission waits for a worker-pool slot.
   if (workers_sem_) co_await workers_sem_->Acquire();
   if (tl != nullptr) tl->Charge(obs::Stage::kAdmit, sim_->Now() - start);
   const SimTime route0 = tl != nullptr ? sim_->Now() : 0;
@@ -1529,6 +1467,8 @@ sim::Task<Status> Engine::FinishBranch(BranchHandle* h, bool commit) {
   }
   metrics_.latency.Add(sim_->Now() - h->start);
   if (h->tl != nullptr) {
+    // Detach before Finish: the recorder may recycle the record into the
+    // pool, and nothing must observe it through the Xct afterwards.
     h->xct->timeline = nullptr;
     flight_->Finish(h->tl, sim_->Now(), committed);
     h->tl = nullptr;

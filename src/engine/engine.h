@@ -182,9 +182,11 @@ class Engine {
     std::function<bool(int, Phase*)> dynamic_phases;
   };
 
-  /// Runs one transaction to commit or abort. Conventional mode executes
-  /// steps inline under 2PL; DORA/Bionic dispatch each phase's steps as
-  /// actions and join at an RVP. Records metrics.
+  /// Runs one transaction to commit or abort: ExecuteBranch, then
+  /// FinishBranch(commit = the phases succeeded). Conventional mode
+  /// executes steps inline under 2PL; DORA/Bionic dispatch each phase's
+  /// steps as actions and join at an RVP. Records metrics. Returns the
+  /// execution failure if there was one, otherwise the finish status.
   ///
   /// `priority` (optional): wait-die timestamp carried across retries. On
   /// entry *priority == 0 assigns a fresh timestamp and writes it back;
@@ -201,11 +203,11 @@ class Engine {
                             uint64_t* priority = nullptr,
                             SimTime arrival_ts = -1);
 
-  // ------------------------------------------------ distributed branches --
-  /// One shard-local branch of a distributed (2PC) transaction, produced by
-  /// ExecuteBranch and finished by FinishBranch. Between the two the branch
-  /// holds its locks and (conventional mode) its worker-pool slot, exactly
-  /// like a transaction between its last action and its commit record.
+  // ----------------------------------------------- transaction lifecycle --
+  /// A transaction between its phases and its finish: produced by
+  /// ExecuteBranch, finished by FinishBranch. Meanwhile it holds its locks
+  /// and (conventional mode) its worker-pool slot. Execute holds one for a
+  /// moment; a 2PC branch holds one across prepare and decision.
   struct BranchHandle {
     std::unique_ptr<txn::Xct> xct;
     obs::TxnTimeline* tl = nullptr;
@@ -214,12 +216,14 @@ class Engine {
     uint64_t span_id = 0;
   };
 
-  /// Runs `spec`'s phases like Execute but stops BEFORE the commit
-  /// protocol, leaving the branch active with locks held. On failure the
-  /// caller must still FinishBranch(h, false) to undo and release. The
-  /// shard::Cluster drives these; single-shard transactions take Execute.
+  /// Begins a transaction and runs `spec`'s phases, stopping BEFORE the
+  /// commit protocol with the transaction active and its locks held.
+  /// Whatever the result, the caller must then FinishBranch(h, ...) —
+  /// false on failure — to commit or undo and release. `priority` and
+  /// `arrival_ts` are Execute's.
   sim::Task<Status> ExecuteBranch(BranchHandle* h, TxnSpec spec, int socket,
-                                  uint64_t* priority);
+                                  uint64_t* priority,
+                                  SimTime arrival_ts = -1);
   /// 2PC phase 1 on this branch: durable yes-vote for `gtid` (read-only
   /// branches vote for free). Charged to the timeline's 2pc_prepare stage.
   /// `wait_durable = false` appends the prepare without waiting: the
@@ -237,8 +241,9 @@ class Engine {
   /// only, no durability wait. Call only after every branch of the
   /// transaction finished committing (their kCommit records are durable).
   sim::Task<Status> LogCoordForget(uint64_t gtid, int socket);
-  /// 2PC phase 2: commit (commit record + durability wait) or abort (undo
-  /// + CLRs). Releases locks, records latency/metrics, frees the slot.
+  /// Ends the transaction: commit (commit record + durability wait) or
+  /// abort (undo + CLRs; returns OK). Releases locks, records
+  /// latency/metrics, frees the slot. For a 2PC branch this is phase 2.
   sim::Task<Status> FinishBranch(BranchHandle* h, bool commit);
 
   /// Request payload flowing through the bounded admission layer.

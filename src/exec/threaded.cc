@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <deque>
 
-#include "common/hash.h"
 #include "common/random.h"
 
 namespace bionicdb::exec {
@@ -15,9 +14,10 @@ ThreadedBackend::ThreadedBackend(engine::Engine* engine, const Config& config)
     : engine_(engine), config_(config), wal_(config.wal),
       free_actions_(4096) {
   // Partition count MUST equal the engine's: Engine::PartitionOf (which
-  // workloads use to group a step's keys) and Dispatch below route with the
-  // same hash modulo this count. A mismatch would let one key lock on two
-  // different partitions, breaking DORA's locking soundness.
+  // workloads use to group a step's keys) and Dispatch below both route
+  // through the engine executor's Route, which takes the modulo of the
+  // engine's count. A mismatch would let one key lock on a partition this
+  // backend does not have.
   const int n = engine->config().num_partitions;
   BIONICDB_CHECK(n > 0 && n <= 64);  // ReleaseTxnLocks uses a 64-bit mask
   for (int i = 0; i < n; ++i) {
@@ -126,11 +126,10 @@ void ThreadedBackend::HandleAction(dora::Partition& part,
 
 void ThreadedBackend::Dispatch(dora::Action* action) {
   BIONICDB_CHECK(action->num_lock_keys() != 0);
-  // Same routing as dora::Executor::Dispatch: avalanche the first sorted
-  // lock key's hash, then modulo.
-  const uint32_t pid = static_cast<uint32_t>(
-      common::Mix64(action->lock_key(0).hash()) %
-      static_cast<uint64_t>(partitions_.size()));
+  // The engine executor's routing, as in dora::Executor::Dispatch: the
+  // first sorted lock key picks the partition.
+  const uint32_t pid =
+      engine_->executor()->Route(action->lock_key(0).hash());
   Msg msg;
   msg.kind = Msg::Kind::kAction;
   msg.action = action;

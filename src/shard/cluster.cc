@@ -40,8 +40,7 @@ Cluster::Cluster(sim::Simulator* sim, const ClusterConfig& config)
         return shards;
       }()),
       router_(config.num_shards),
-      tpc_(RawShards(shards_)),
-      snapshot_reads_(config.snapshot_reads) {}
+      tpc_(RawShards(shards_)) {}
 
 sim::Task<Status> Cluster::Execute(ShardedTxn txn, int socket,
                                    uint64_t* priority) {
@@ -50,9 +49,6 @@ sim::Task<Status> Cluster::Execute(ShardedTxn txn, int socket,
     ShardFragment& frag = txn.fragments[0];
     co_return co_await shards_[static_cast<size_t>(frag.shard)]->Execute(
         std::move(frag.spec), socket, priority);
-  }
-  if (snapshot_reads_ && TwoPhaseCommit::IsReadOnlyTxn(txn)) {
-    co_return co_await tpc_.RunSnapshotRead(std::move(txn), socket, priority);
   }
   co_return co_await tpc_.Run(std::move(txn), socket, priority);
 }

@@ -31,9 +31,6 @@ struct ClusterConfig {
   /// Template applied to every shard (partitions, mode, log device,
   /// compact storage, ... are per-shard).
   engine::EngineConfig engine;
-  /// Route fully read-only cross-shard transactions through the
-  /// prepare-free snapshot-read path instead of 2PC.
-  bool snapshot_reads = true;
 };
 
 class Cluster {
@@ -49,9 +46,9 @@ class Cluster {
   const SnapshotReadStats& snap_stats() const { return tpc_.snap_stats(); }
 
   /// Routes one transaction: single fragment -> that shard's
-  /// Engine::Execute (the passivity-critical fast path); fully read-only
-  /// multi-fragment -> prepare-free snapshot read (when enabled);
-  /// otherwise 2PC.
+  /// Engine::Execute (the passivity-critical fast path); multi-fragment
+  /// -> TwoPhaseCommit::Run (a prepare-free snapshot read when fully
+  /// read-only, 2PC otherwise).
   sim::Task<Status> Execute(ShardedTxn txn, int socket = 0,
                             uint64_t* priority = nullptr);
 
@@ -71,7 +68,6 @@ class Cluster {
   std::vector<std::unique_ptr<engine::Engine>> shards_;
   Router router_;
   TwoPhaseCommit tpc_;
-  bool snapshot_reads_;
 };
 
 }  // namespace bionicdb::shard

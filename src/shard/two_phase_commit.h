@@ -58,12 +58,16 @@
 // consistent cut it samples.
 //
 // Snapshot reads: a fully read-only distributed transaction never enters
-// 2PC. RunSnapshotRead fans its fragments out exactly like execute above;
-// the join point — all fragments done, all shared locks still held — is
-// the transaction's consistent virtual-time read point (strict 2PL: no
-// writer can have slipped between any fragment's reads). Then every
-// branch commits read-only: no kPrepare, no kCoordCommit, no held write
-// locks, zero WAL traffic.
+// 2PC. Run fans its fragments out exactly like execute above but skips
+// phase 1; the join point — all fragments done, all shared locks still
+// held — is the transaction's consistent virtual-time read point (strict
+// 2PL: no writer can have slipped between any fragment's reads). Then
+// every branch commits read-only: no gtid, no kPrepare, no kCoordCommit,
+// no held write locks, zero WAL traffic.
+//
+// Both kinds of transaction share one fan-out-and-join (RunBranchTask)
+// and one finish fan-out (FinishAll), which serves the commit and every
+// abort exit alike.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +89,7 @@ struct TwoPhaseCommitStats {
   uint64_t decisions_retired = 0;  ///< kCoordForget GC markers appended.
 };
 
-/// Prepare-free cross-shard read-only transactions (RunSnapshotRead).
+/// Prepare-free cross-shard read-only transactions (snapshot reads).
 struct SnapshotReadStats {
   uint64_t started = 0;
   uint64_t committed = 0;
@@ -99,19 +103,12 @@ class TwoPhaseCommit {
       : shards_(std::move(shards)) {}
 
   /// Runs one distributed transaction (>= 2 fragments on distinct
-  /// shards) to a cluster-wide commit or abort. `priority` follows the
-  /// same pinned wait-die contract as Engine::Execute. Returns OK on
-  /// commit, Aborted if any fragment aborted (retryable), or the
-  /// underlying failure.
+  /// shards) to a cluster-wide commit or abort: a snapshot read when
+  /// IsReadOnlyTxn(txn), 2PC otherwise. `priority` follows the same
+  /// pinned wait-die contract as Engine::Execute. Returns OK on commit,
+  /// Aborted if any fragment aborted (retryable), or the underlying
+  /// failure.
   sim::Task<Status> Run(ShardedTxn txn, int socket, uint64_t* priority);
-
-  /// Runs a fully read-only distributed transaction (>= 2 fragments on
-  /// distinct shards, every step read_only) against one consistent
-  /// virtual-time read point, without any 2PC record: no prepare, no
-  /// decision, nothing appended to any WAL. Caller guarantees
-  /// IsReadOnlyTxn(txn).
-  sim::Task<Status> RunSnapshotRead(ShardedTxn txn, int socket,
-                                    uint64_t* priority);
 
   /// True iff every step of every fragment is read-only (and no fragment
   /// has dynamic phases, whose shape — and writes — are unknown up front).
@@ -130,9 +127,15 @@ class TwoPhaseCommit {
   /// Pins the shared wait-die priority before any branch races to Begin().
   uint64_t* PinPriority(int coord, uint64_t* priority, uint64_t* local);
 
-  /// Aborts every branch in `branches[0..n)`, concurrently.
-  sim::Task<void> AbortAll(std::vector<engine::Engine::BranchHandle>* branches,
-                           const ShardedTxn& txn, size_t n);
+  engine::Engine* shard(int id) const {
+    return shards_[static_cast<size_t>(id)];
+  }
+
+  /// Finishes every branch concurrently — commit or abort — charging each
+  /// branch's 2pc_finish stage from `since`. True iff every finish
+  /// returned OK (every commit record durable).
+  sim::Task<bool> FinishAll(std::vector<engine::Engine::BranchHandle>* branches,
+                            const ShardedTxn& txn, bool commit, SimTime since);
 
   std::vector<engine::Engine*> shards_;
   uint64_t next_gtid_ = 1;

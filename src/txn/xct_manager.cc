@@ -97,11 +97,6 @@ sim::Task<Status> XctManager::WaitCommitDurable(Xct* xct,
   co_return Status::OK();
 }
 
-sim::Task<Status> XctManager::Prepare(Xct* xct, uint64_t gtid, int socket) {
-  const wal::Lsn lsn = co_await AppendPrepareRecord(xct, gtid, socket);
-  co_return co_await WaitPrepareDurable(lsn);
-}
-
 sim::Task<wal::Lsn> XctManager::AppendPrepareRecord(Xct* xct, uint64_t gtid,
                                                     int socket) {
   BIONICDB_CHECK(xct->state == XctState::kActive);

@@ -66,16 +66,13 @@ class XctManager {
   sim::Task<Status> Abort(Xct* xct, const UndoApplier& applier, int socket);
 
   /// 2PC participant yes-vote for the branch `xct` of the cluster-wide
-  /// transaction `gtid`: appends a kPrepare record (gtid in its key,
-  /// wal::PrepareGtid decodes it) and waits for durability. A read-only
-  /// branch votes yes without logging. The branch stays kActive: it must
-  /// subsequently be finished with Commit (coordinator decided commit) or
-  /// Abort (presumed abort).
-  sim::Task<Status> Prepare(Xct* xct, uint64_t gtid, int socket);
-
-  /// The two halves of Prepare, for callers that account the CPU-bound
-  /// append separately from the (idle) durability wait. kInvalidLsn means
-  /// a read-only branch: already a yes-vote, nothing to wait for.
+  /// transaction `gtid`, in two halves so callers account the CPU-bound
+  /// append separately from the (idle) durability wait. The append writes
+  /// a kPrepare record (gtid in its key, wal::PrepareGtid decodes it); a
+  /// read-only branch votes yes without logging and gets kInvalidLsn,
+  /// which needs no wait. The branch stays kActive: it must subsequently
+  /// be finished with a commit (coordinator decided commit) or Abort
+  /// (presumed abort).
   sim::Task<wal::Lsn> AppendPrepareRecord(Xct* xct, uint64_t gtid,
                                           int socket);
   sim::Task<Status> WaitPrepareDurable(wal::Lsn prepare_lsn);

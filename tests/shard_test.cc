@@ -491,6 +491,86 @@ TEST(TwoPhaseCommitTest, FailedBranchAbortsAtomicallyOnAllShards) {
   }
 }
 
+std::vector<std::map<std::string, std::string>> ShardSnapshots(
+    Cluster* cluster) {
+  std::vector<std::map<std::string, std::string>> snaps;
+  for (int i = 0; i < cluster->num_shards(); ++i) {
+    snaps.push_back(cluster->shard(i)->db().Snapshot());
+  }
+  return snaps;
+}
+
+ClusterConfig DeadLogCluster(int shards) {
+  ClusterConfig c = SmallCluster(shards);
+  // Every flush fails. A fail-once would not do: the log retries it away.
+  c.engine.fault_plan.WithErrorRate("ssd", 1.0);
+  return c;
+}
+
+/// Phase 1 fails: both branches write, but the participant's prepare
+/// never becomes durable. Presumed abort undoes both branches.
+TEST(TwoPhaseCommitTest, LostVoteAbortsOnAllShards) {
+  Simulator sim;
+  Cluster cluster(&sim, DeadLogCluster(2));
+  ShardedTatpConfig wcfg;
+  wcfg.subscribers = 40;
+  ShardedTatp tatp(&cluster, wcfg);
+  ASSERT_TRUE(tatp.Load().ok());
+  const auto before = ShardSnapshots(&cluster);
+
+  TxnResult result;
+  cluster.Start();
+  sim.Spawn(DriveOne(&cluster, CrossShardUpdate(&tatp, 2, 3, 0, 1), &result));
+  sim.Run();
+
+  EXPECT_FALSE(result.status.ok());
+  EXPECT_EQ(cluster.tpc_stats().started, 1u);
+  EXPECT_EQ(cluster.tpc_stats().committed, 0u);
+  EXPECT_EQ(cluster.tpc_stats().aborted, 1u);
+  EXPECT_EQ(cluster.tpc_stats().exec_aborts, 0u);
+  EXPECT_EQ(cluster.tpc_stats().vote_failures, 1u);
+  EXPECT_EQ(cluster.tpc_stats().decision_failures, 0u);
+  EXPECT_EQ(ShardSnapshots(&cluster), before);
+}
+
+/// The decision fails: the participant only reads, so it votes without a
+/// flush and the coordinator's decision is the first record that must
+/// become durable. No decision survives anywhere; both branches undo.
+TEST(TwoPhaseCommitTest, LostDecisionAbortsOnAllShards) {
+  Simulator sim;
+  Cluster cluster(&sim, DeadLogCluster(2));
+  ShardedTatpConfig wcfg;
+  wcfg.subscribers = 40;
+  ShardedTatp tatp(&cluster, wcfg);
+  ASSERT_TRUE(tatp.Load().ok());
+  const auto before = ShardSnapshots(&cluster);
+
+  ShardedTxn txn;
+  TatpWorkload* w0 = tatp.shard_workload(0);
+  txn.fragments.push_back({0, w0->MakeUpdateLocation(w0->SubNbr(2), 12345)});
+  txn.fragments.push_back({1, tatp.shard_workload(1)->MakeGetSubscriberData(3)});
+  TxnResult result;
+  cluster.Start();
+  sim.Spawn(DriveOne(&cluster, std::move(txn), &result));
+  sim.Run();
+
+  EXPECT_FALSE(result.status.ok());
+  EXPECT_EQ(cluster.tpc_stats().started, 1u);
+  EXPECT_EQ(cluster.tpc_stats().committed, 0u);
+  EXPECT_EQ(cluster.tpc_stats().aborted, 1u);
+  EXPECT_EQ(cluster.tpc_stats().exec_aborts, 0u);
+  EXPECT_EQ(cluster.tpc_stats().vote_failures, 0u);
+  EXPECT_EQ(cluster.tpc_stats().decision_failures, 1u);
+  for (int i = 0; i < 2; ++i) {
+    wal::DistributedDecisions decisions;
+    ASSERT_TRUE(wal::CollectDecisions(
+                    cluster.shard(i)->log()->durable_prefix(), &decisions)
+                    .ok());
+    EXPECT_TRUE(decisions.committed_gtids.empty()) << "shard " << i;
+  }
+  EXPECT_EQ(ShardSnapshots(&cluster), before);
+}
+
 /// The decision-GC crash window: crash AFTER every branch commit is
 /// durable but BEFORE the kCoordForget marker — the decision must still
 /// be live in the surviving prefix, and recovery with it must commit the
@@ -638,6 +718,45 @@ TEST(SnapshotReadTest, SkipsTwoPCAndWritesNothing) {
               before[static_cast<size_t>(i)])
         << "snapshot read appended to shard " << i << "'s WAL";
   }
+}
+
+/// A snapshot read whose fragment fails aborts every branch and never
+/// enters 2PC.
+TEST(SnapshotReadTest, FailedFragmentAbortsWithoutTwoPC) {
+  Simulator sim;
+  Cluster cluster(&sim, SmallCluster(2));
+  ShardedTatpConfig wcfg;
+  wcfg.subscribers = 40;
+  ShardedTatp tatp(&cluster, wcfg);
+  ASSERT_TRUE(tatp.Load().ok());
+  const auto before = ShardSnapshots(&cluster);
+
+  // Shard 1's read-only step fails as a dead device would surface it.
+  Engine::TxnSpec failing;
+  Engine::TxnStep step;
+  step.table = tatp.shard_workload(1)->subscriber();
+  step.keys = {index::EncodeKeyU64(3)};
+  step.read_only = true;
+  step.fn = [](Engine::ExecContext&) -> Task<Status> {
+    co_return Status::IOError("injected read failure");
+  };
+  failing.phases.push_back({std::move(step)});
+  ShardedTxn txn;
+  txn.fragments.push_back({0, tatp.shard_workload(0)->MakeGetSubscriberData(2)});
+  txn.fragments.push_back({1, std::move(failing)});
+
+  TxnResult result;
+  cluster.Start();
+  sim.Spawn(DriveOne(&cluster, std::move(txn), &result));
+  sim.Run();
+
+  EXPECT_TRUE(result.status.IsIOError()) << result.status.ToString();
+  EXPECT_EQ(cluster.snap_stats().started, 1u);
+  EXPECT_EQ(cluster.snap_stats().committed, 0u);
+  EXPECT_EQ(cluster.snap_stats().aborted, 1u);
+  EXPECT_EQ(cluster.tpc_stats().started, 0u);
+  EXPECT_EQ(cluster.tpc_stats().aborted, 0u);
+  EXPECT_EQ(ShardSnapshots(&cluster), before);
 }
 
 /// Custom read step capturing one subscriber's vlr_location.
