@@ -6,62 +6,24 @@
 // pays this structure once per event, so events/sec here bounds how much
 // virtual time any benchmark can chew through per host second.
 //
-// Emits wallclock-style JSON (stdout, and argv[1] when given); the PR 5
-// acceptance bar is >= 2x events/sec over the heap on the TATP trace.
+// Emits the JSON rows of bench/bench_util.h (stdout, and to a file when a
+// path is given); the PR 5 acceptance bar is >= 2x events/sec over the
+// heap on the TATP trace.
+//
+// Usage: event_queue [out.json]
 #define BIONICDB_ALLOC_HOOK_DEFINE
 #include "bench/alloc_hook.h"
 
-#include <chrono>
 #include <cstdio>
 #include <queue>
-#include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/random.h"
-#include "engine/engine.h"
 #include "sim/event_queue.h"
-#include "sim/simulator.h"
-#include "workload/driver.h"
-#include "workload/tatp.h"
 
 namespace bionicdb::bench {
 namespace {
-
-struct Metric {
-  std::string name;
-  double ns_per_op = 0;
-  uint64_t ops = 0;
-  double allocs_per_op = 0;
-  double wall_ms = 0;
-  const char* extra_name = nullptr;
-  double extra = 0;
-};
-
-class Timer {
- public:
-  Timer()
-      : start_(std::chrono::steady_clock::now()), allocs0_(AllocCount()) {}
-
-  Metric Stop(const std::string& name, uint64_t ops) {
-    const auto end = std::chrono::steady_clock::now();
-    const double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
-            .count());
-    const uint64_t allocs = AllocCount() - allocs0_;
-    Metric m;
-    m.name = name;
-    m.ops = ops;
-    m.ns_per_op = ops ? ns / static_cast<double>(ops) : 0;
-    m.allocs_per_op =
-        ops ? static_cast<double>(allocs) / static_cast<double>(ops) : 0;
-    m.wall_ms = ns / 1e6;
-    return m;
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-  uint64_t allocs0_;
-};
 
 /// The old event queue, preserved as the baseline: a binary heap on
 /// (time, seq), exactly what sim::Simulator used before the calendar queue.
@@ -105,8 +67,8 @@ class CalendarEvents {
 /// earliest and pushes a replacement at now() + next trace delta. This is
 /// the simulator's steady state (one wakeup scheduled per event handled).
 template <typename Q>
-Metric RunHold(const char* name, const std::vector<SimTime>& deltas,
-               size_t working, size_t ops) {
+Row RunHold(const char* name, const std::vector<SimTime>& deltas,
+            size_t working, size_t ops) {
   Q q;
   // Replay the largest power-of-two prefix so the cycling cursor is a
   // masked increment — no wrap branch perturbing either queue's numbers.
@@ -122,9 +84,9 @@ Metric RunHold(const char* name, const std::vector<SimTime>& deltas,
     sink += q.Pop();
     q.Push(q.now() + next_delta(), i);
   }
-  Metric m = t.Stop(name, ops);
-  m.extra_name = "Mevents_per_sec";
-  m.extra = m.ns_per_op > 0 ? 1e3 / m.ns_per_op : 0;
+  Row m = t.Stop(name, ops);
+  const double ns_per_op = m.Value("ns_per_op");
+  m.Add("Mevents_per_sec", ns_per_op > 0 ? 1e3 / ns_per_op : 0, 2);
   BIONICDB_CHECK(sink != 0);
   return m;
 }
@@ -177,43 +139,27 @@ std::vector<SimTime> CaptureTatpTrace() {
   return deltas;
 }
 
-void EmitJson(const std::vector<Metric>& ms, FILE* f) {
-  std::fprintf(f, "{\n");
-  for (size_t i = 0; i < ms.size(); ++i) {
-    const Metric& m = ms[i];
-    std::fprintf(f,
-                 "  \"%s\": {\"ns_per_op\": %.1f, \"allocs_per_op\": %.3f, "
-                 "\"ops\": %llu, \"wall_ms\": %.1f",
-                 m.name.c_str(), m.ns_per_op, m.allocs_per_op,
-                 static_cast<unsigned long long>(m.ops), m.wall_ms);
-    if (m.extra_name != nullptr) {
-      std::fprintf(f, ", \"%s\": %.2f", m.extra_name, m.extra);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < ms.size() ? "," : "");
-  }
-  std::fprintf(f, "}\n");
-}
-
 /// Best (minimum ns/op) of `reps` runs: the host is a shared VM, so a
 /// single run can absorb multi-x scheduling noise; the minimum is the
 /// least-perturbed observation and both queues are measured interleaved so
 /// drift hits them alike.
 template <typename Fn>
-Metric MinOf(int reps, Fn run) {
-  Metric best = run();
+Row MinOf(int reps, Fn run) {
+  Row best = run();
   for (int r = 1; r < reps; ++r) {
-    const Metric m = run();
-    if (m.ns_per_op < best.ns_per_op) best = m;
+    Row m = run();
+    if (m.Value("ns_per_op") < best.Value("ns_per_op")) best = std::move(m);
   }
   return best;
 }
 
 int Main(int argc, char** argv) {
+  const BenchArgs args = ParseBenchArgs(argc, argv, nullptr, /*grid=*/false);
   constexpr size_t kOps = 2'000'000;
   constexpr size_t kWorking = 64;  // ~ live events under 32 clients
   constexpr int kReps = 7;
 
-  std::vector<Metric> ms;
+  std::vector<Row> ms;
   const std::vector<SimTime> synth = SyntheticDeltas(1u << 20);
   ms.push_back(MinOf(kReps, [&] {
     return RunHold<HeapEvents>("evq_heap_hold", synth, kWorking, kOps);
@@ -246,16 +192,10 @@ int Main(int argc, char** argv) {
   }));
 
   std::fprintf(stderr, "speedup: hold %.2fx, tatp trace %.2fx\n",
-               ms[0].ns_per_op / ms[1].ns_per_op,
-               ms[2].ns_per_op / ms[3].ns_per_op);
+               ms[0].Value("ns_per_op") / ms[1].Value("ns_per_op"),
+               ms[2].Value("ns_per_op") / ms[3].Value("ns_per_op"));
 
-  EmitJson(ms, stdout);
-  if (argc > 1) {
-    FILE* f = std::fopen(argv[1], "w");
-    BIONICDB_CHECK(f != nullptr);
-    EmitJson(ms, f);
-    std::fclose(f);
-  }
+  EmitRows(ms, args.out_path);
   return 0;
 }
 

@@ -14,18 +14,6 @@ using bench::WorkloadScale;
 
 namespace {
 
-engine::EngineConfig ConfigFor(engine::EngineMode mode) {
-  switch (mode) {
-    case engine::EngineMode::kConventional:
-      return engine::EngineConfig::Conventional();
-    case engine::EngineMode::kDora:
-      return engine::EngineConfig::Dora();
-    case engine::EngineMode::kBionic:
-      return engine::EngineConfig::Bionic();
-  }
-  return engine::EngineConfig::Dora();
-}
-
 void PrintFigure4() {
   bench::PrintHeader(
       "Figure 4 / S5: Conventional vs DORA vs Bionic (TATP mix)");
@@ -35,7 +23,7 @@ void PrintFigure4() {
                                       engine::EngineMode::kDora,
                                       engine::EngineMode::kBionic};
   for (int i = 0; i < 3; ++i) {
-    results[i] = bench::RunTatpMix(ConfigFor(modes[i]), scale);
+    results[i] = bench::RunTatpMix(engine::EngineConfig::For(modes[i]), scale);
     bench::PrintResultRow(engine::EngineModeName(modes[i]), results[i]);
   }
   std::printf("\nEnergy: bionic uses %.1fx less energy per txn than DORA, "
@@ -53,7 +41,7 @@ void PrintFigure4() {
   WorkloadScale tscale;
   tscale.measured_txns = 1500;
   for (int i = 0; i < 3; ++i) {
-    RunResult r = bench::RunTpcc(ConfigFor(modes[i]), tscale);
+    RunResult r = bench::RunTpcc(engine::EngineConfig::For(modes[i]), tscale);
     bench::PrintResultRow(engine::EngineModeName(modes[i]), r);
   }
 }

@@ -9,48 +9,26 @@
 // p99.9 of served requests blows up to the full-queue wait.
 //
 // Also emits:
-//  * one closed-loop row replicating wallclock's tatp_e2e_dora setup, whose
+//  * one closed-loop row of the pinned run (bench/bench_util.h), whose
 //    sim_txn_per_sec is pinned by tools/check_bench.py — proof that the
 //    admission machinery is inert when disabled;
 //  * wall-clock open-loop rows driving exec::ThreadedBackend with a real
 //    arrival thread (suppressed by --sim-only, which keeps the output
 //    deterministic for the cross---jobs byte-identity check).
 //
-// Usage: overload [out.json] [--jobs=N] [--sim-only]
+// Usage: overload [--jobs=N] [--sim-only] [out.json]
 // Simulated rows are byte-identical for any --jobs (each grid point is a
 // self-contained simulation; common::RunGrid returns them in grid order).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "common/macros.h"
-#include "common/parallel_for.h"
-#include "engine/engine.h"
+#include "bench/bench_util.h"
 #include "exec/threaded.h"
-#include "obs/timeline.h"
-#include "sim/simulator.h"
-#include "workload/driver.h"
-#include "workload/tatp.h"
 
 namespace bionicdb::bench {
 namespace {
-
-struct Row {
-  struct Field {
-    std::string key;
-    double value = 0;
-    int decimals = 3;
-  };
-  std::string name;
-  std::vector<Field> fields;
-  void Add(const std::string& k, double v, int decimals = 3) {
-    fields.push_back({k, v, decimals});
-  }
-};
 
 // ------------------------------------------------------------ sim points --
 
@@ -77,9 +55,7 @@ constexpr SimTime kMeasureNs = 10000000;  // 10 ms virtual measured window
 
 Row RunSimPoint(const SimPoint& p) {
   sim::Simulator sim;
-  engine::EngineConfig cfg = p.mode == engine::EngineMode::kBionic
-                                 ? engine::EngineConfig::Bionic()
-                                 : engine::EngineConfig::Dora();
+  engine::EngineConfig cfg = engine::EngineConfig::For(p.mode);
   cfg.flight.enabled = true;
   cfg.admission.enabled = true;
   cfg.admission.depth = 512;
@@ -101,8 +77,7 @@ Row RunSimPoint(const SimPoint& p) {
       &eng, [&]() { return tatp.NextTransaction(); }, ocfg, &rep));
   sim.Run();
 
-  Row row;
-  row.name = PointName(p);
+  Row row(PointName(p), 3);
   row.Add("offered_tps", p.offered_tps);
   row.Add("arrivals", static_cast<double>(rep.offered));
   row.Add("shed", static_cast<double>(rep.shed));
@@ -128,36 +103,22 @@ Row RunSimPoint(const SimPoint& p) {
   return row;
 }
 
-// Replicates wallclock's tatp_e2e_dora run (same config, same seeds, no
-// admission queue): its sim_txn_per_sec carries the cross-PR passivity pin.
+// The pinned run, with no admission queue: its sim_txn_per_sec carries the
+// cross-PR passivity pin.
 Row RunClosedLoopPin() {
-  sim::Simulator sim;
-  engine::EngineConfig cfg;  // default: DORA mode, commodity server
-  cfg.flight.enabled = true;
-  engine::Engine eng(&sim, cfg);
-  workload::TatpConfig wcfg;
-  wcfg.subscribers = 5000;
-  workload::TatpWorkload tatp(&eng, wcfg);
-  BIONICDB_CHECK(tatp.Load().ok());
-  workload::DriverConfig dcfg;
-  dcfg.clients = 32;
-  dcfg.warmup_txns = 2000;
-  dcfg.measured_txns = 6000;
-  sim.Spawn(workload::RunClosedLoop(
-      &eng, [&]() { return tatp.NextTransaction(); }, dcfg, nullptr));
-  sim.Run();
-
-  Row row;
-  row.name = "overload_closed_dora";
-  // %.1f, matching wallclock's tatp_e2e_dora emission: the checker pins
-  // this field to the exact same literal in both files.
-  row.Add("sim_txn_per_sec", eng.metrics().TxnPerSecond(), 1);
-  row.Add("commits", static_cast<double>(eng.metrics().commits));
-  const Histogram& lat = eng.metrics().latency;
-  row.Add("p50_us", static_cast<double>(lat.Percentile(50)) / 1e3);
-  row.Add("p99_us", static_cast<double>(lat.Percentile(99)) / 1e3);
-  row.Add("p999_us", static_cast<double>(lat.Percentile(99.9)) / 1e3);
-  return row;
+  return RunPinnedTatp([](sim::Simulator& sim, engine::Engine& eng) {
+    sim.Run();
+    Row row("overload_closed_dora", 3);
+    // %.1f, matching wallclock's tatp_e2e_dora emission: the checker pins
+    // this field to the exact same literal in both files.
+    row.Add("sim_txn_per_sec", eng.metrics().TxnPerSecond(), 1);
+    row.Add("commits", static_cast<double>(eng.metrics().commits));
+    const Histogram& lat = eng.metrics().latency;
+    row.Add("p50_us", static_cast<double>(lat.Percentile(50)) / 1e3);
+    row.Add("p99_us", static_cast<double>(lat.Percentile(99)) / 1e3);
+    row.Add("p999_us", static_cast<double>(lat.Percentile(99.9)) / 1e3);
+    return row;
+  });
 }
 
 // ------------------------------------------------------- wall-clock rows --
@@ -183,11 +144,10 @@ Row RunThreadedPoint(double offered_tps) {
       backend.RunOpenLoop([&] { return tatp.NextTransaction(); }, options);
   backend.Shutdown();
 
-  Row row;
   char buf[64];
   std::snprintf(buf, sizeof(buf), "overload_threaded_o%.0fk",
                 offered_tps / 1000.0);
-  row.name = buf;
+  Row row(buf, 3);
   row.Add("offered_tps", offered_tps);
   row.Add("arrivals", static_cast<double>(rep.offered));
   row.Add("admitted", static_cast<double>(rep.admitted));
@@ -206,36 +166,9 @@ Row RunThreadedPoint(double offered_tps) {
 
 // ------------------------------------------------------------------ main --
 
-void EmitJson(const std::vector<Row>& rows, FILE* f) {
-  std::fprintf(f, "{\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f, "  \"%s\": {", r.name.c_str());
-    for (size_t j = 0; j < r.fields.size(); ++j) {
-      std::fprintf(f, "%s\"%s\": %.*f", j ? ", " : "",
-                   r.fields[j].key.c_str(), r.fields[j].decimals,
-                   r.fields[j].value);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "}\n");
-}
-
 int Main(int argc, char** argv) {
-  std::string out_path;
-  size_t jobs = 1;
-  bool sim_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = static_cast<size_t>(std::atoi(argv[i] + 7));
-      if (jobs == 0) jobs = 1;
-    } else if (std::strcmp(argv[i], "--sim-only") == 0) {
-      sim_only = true;
-    } else {
-      out_path = argv[i];
-    }
-  }
-
+  const BenchArgs args = ParseBenchArgs(argc, argv, "--sim-only",
+                                        /*grid=*/true);
   using engine::EngineMode;
   using workload::ArrivalProcess;
   std::vector<SimPoint> grid;
@@ -252,20 +185,14 @@ int Main(int argc, char** argv) {
     grid.push_back({mode, ArrivalProcess::kDiurnal, 2e6});
   }
   std::vector<Row> rows = common::RunGrid<Row>(
-      grid.size(), jobs, [&](size_t i) { return RunSimPoint(grid[i]); });
+      grid.size(), args.jobs, [&](size_t i) { return RunSimPoint(grid[i]); });
   rows.push_back(RunClosedLoopPin());
-  if (!sim_only) {
+  if (!args.flag) {
     rows.push_back(RunThreadedPoint(20e3));
     rows.push_back(RunThreadedPoint(80e3));
   }
 
-  EmitJson(rows, stdout);
-  if (!out_path.empty()) {
-    FILE* f = std::fopen(out_path.c_str(), "w");
-    BIONICDB_CHECK(f != nullptr);
-    EmitJson(rows, f);
-    std::fclose(f);
-  }
+  EmitRows(rows, args.out_path);
   return 0;
 }
 

@@ -1,83 +1,32 @@
 // Wall-clock microbenchmark harness: measures HOST time (not simulated
 // time) of the hot paths that bound how much simulated work every other
 // benchmark can drive per second, plus allocation counts from the counting
-// operator-new hook. Emits machine-readable JSON (stdout, and to a file
-// when a path is given as argv[1]); BENCH_PR*.json snapshots are built
-// from these runs. See docs/PERFORMANCE.md.
+// operator-new hook. Emits the JSON rows of bench/bench_util.h (stdout, and
+// to a file when a path is given); BENCH_PR*.json snapshots are built from
+// these runs. See docs/PERFORMANCE.md.
+//
+// Usage: wallclock [out.json]
 #define BIONICDB_ALLOC_HOOK_DEFINE
 #include "bench/alloc_hook.h"
 
 #include <malloc.h>
 
-#include <chrono>
-#include <cstdio>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/random.h"
 #include "dora/action.h"
 #include "dora/executor.h"
-#include "engine/engine.h"
 #include "exec/threaded.h"
 #include "hw/platform.h"
 #include "index/btree.h"
 #include "index/codec.h"
 #include "sim/sim_queue.h"
-#include "sim/simulator.h"
-#include "workload/driver.h"
-#include "workload/tatp.h"
-#include "workload/tpcc.h"
 
 namespace bionicdb::bench {
 namespace {
-
-struct Metric {
-  std::string name;
-  double ns_per_op = 0;
-  uint64_t ops = 0;
-  double allocs_per_op = 0;
-  double wall_ms = 0;
-  // Optional extra data (e.g. simulated txn/s and tail percentiles for the
-  // e2e run), emitted in order after the standard fields, each with its
-  // own number of decimals.
-  struct Extra {
-    std::string key;
-    double value = 0;
-    int decimals = 1;
-  };
-  std::vector<Extra> extras;
-  void Add(const std::string& key, double value, int decimals = 1) {
-    extras.push_back({key, value, decimals});
-  }
-};
-
-class Timer {
- public:
-  Timer()
-      : start_(std::chrono::steady_clock::now()), allocs0_(AllocCount()) {}
-
-  Metric Stop(const std::string& name, uint64_t ops) {
-    const auto end = std::chrono::steady_clock::now();
-    const double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
-            .count());
-    const uint64_t allocs = AllocCount() - allocs0_;
-    Metric m;
-    m.name = name;
-    m.ops = ops;
-    m.ns_per_op = ops ? ns / static_cast<double>(ops) : 0;
-    m.allocs_per_op =
-        ops ? static_cast<double>(allocs) / static_cast<double>(ops) : 0;
-    m.wall_ms = ns / 1e6;
-    return m;
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-  uint64_t allocs0_;
-};
 
 /// Pre-encoded probe keys so the timed loop measures the tree, not the key
 /// encoder. `wide` keys are 16-byte composites (the SSO-busting case that
@@ -95,7 +44,7 @@ std::vector<std::string> MakeKeys(size_t n, bool wide) {
 /// The engine's point-read hot path: probe and consume the value bytes
 /// without materializing a std::string (GetView). `btree_probe_copy`
 /// covers the owning Get() for callers that need ownership.
-Metric BenchBtreeProbe(const char* name, bool wide, bool copy) {
+Row BenchBtreeProbe(const char* name, bool wide, bool copy) {
   const size_t kRows = 200000;
   const size_t kProbes = 2000000;
   const auto keys = MakeKeys(kRows, wide);
@@ -120,7 +69,7 @@ Metric BenchBtreeProbe(const char* name, bool wide, bool copy) {
       sink += r->size();
     }
   }
-  Metric m = t.Stop(name, kProbes);
+  Row m = t.Stop(name, kProbes);
   BIONICDB_CHECK(sink == kProbes * value.size());
   return m;
 }
@@ -131,7 +80,7 @@ Metric BenchBtreeProbe(const char* name, bool wide, bool copy) {
 /// counts the inserts the rightmost-leaf append path served without a
 /// descent; their share of the row's ops is fixed by the key count and
 /// leaf capacity.
-Metric BenchBtreeInsert() {
+Row BenchBtreeInsert() {
   const size_t kRows = 200000;
   const auto keys = MakeKeys(kRows, /*wide=*/true);
   const std::string value(96, 'v');
@@ -141,9 +90,10 @@ Metric BenchBtreeInsert() {
   for (const auto& k : keys) {
     BIONICDB_CHECK(tree.Insert(k, value, /*overwrite=*/false).ok());
   }
-  Metric m = t.Stop("btree_insert_16", kRows);
-  BIONICDB_CHECK(tree.size() == kRows);
+  // Read before Stop() builds the row, whose fields are heap blocks too.
   const size_t heap_after = mallinfo2().uordblks;
+  Row m = t.Stop("btree_insert_16", kRows);
+  BIONICDB_CHECK(tree.size() == kRows);
   // Five decimals: check_bench.py's ceiling compares the unrounded figure.
   m.Add("bytes_per_entry",
         static_cast<double>(heap_after - heap_before) /
@@ -153,7 +103,7 @@ Metric BenchBtreeInsert() {
   return m;
 }
 
-Metric BenchQueueCycle() {
+Row BenchQueueCycle() {
   const size_t kOps = 4000000;  // pushes + pops
   const size_t kBurst = 64;
   sim::Simulator sim;
@@ -164,7 +114,7 @@ Metric BenchQueueCycle() {
     for (size_t j = 0; j < kBurst; ++j) BIONICDB_CHECK(q.TryPush(i + j));
     for (size_t j = 0; j < kBurst; ++j) sink += *q.TryPop();
   }
-  Metric m = t.Stop("queue_cycle", kOps);
+  Row m = t.Stop("queue_cycle", kOps);
   BIONICDB_CHECK(q.empty());
   (void)sink;
   return m;
@@ -198,7 +148,7 @@ sim::Task<void> DispatchDriver(sim::Simulator* sim, dora::Executor* ex,
   co_await ex->Drain();
 }
 
-Metric BenchDispatchCycle() {
+Row BenchDispatchCycle() {
   const uint64_t kActions = 100000;
   sim::Simulator sim;
   hw::Platform platform(&sim, hw::PlatformSpec::CommodityServer());
@@ -212,53 +162,39 @@ Metric BenchDispatchCycle() {
   sim.Spawn(DispatchDriver(&sim, &ex, kActions, &keys));
   Timer t;
   sim.Run();
-  Metric m = t.Stop("dispatch_cycle", kActions);
+  Row m = t.Stop("dispatch_cycle", kActions);
   BIONICDB_CHECK(ex.stats().executed == kActions);
   return m;
 }
 
-Metric BenchTatpE2e() {
-  sim::Simulator sim;
-  engine::EngineConfig cfg;  // default: DORA mode, commodity server
-  // The flight recorder is purely passive (no simulator events, no RNG
-  // draws), so the simulated results — sim_txn_per_sec in particular —
-  // are bit-identical to a recorder-off run; check_bench.py enforces it.
-  cfg.flight.enabled = true;
-  engine::Engine eng(&sim, cfg);
-  workload::TatpConfig wcfg;
-  wcfg.subscribers = 5000;
-  workload::TatpWorkload tatp(&eng, wcfg);
-  BIONICDB_CHECK(tatp.Load().ok());
-  workload::DriverConfig dcfg;
-  dcfg.clients = 32;
-  dcfg.warmup_txns = 2000;
-  dcfg.measured_txns = 6000;
-  sim.Spawn(workload::RunClosedLoop(
-      &eng, [&]() { return tatp.NextTransaction(); }, dcfg, nullptr));
-  Timer t;
-  sim.Run();
-  // Wall cost per *committed* txn (the run also executes warmup txns and
-  // aborted attempts; they are part of the price of a committed txn).
-  Metric m = t.Stop("tatp_e2e_dora", eng.metrics().commits);
-  m.Add("sim_txn_per_sec", eng.metrics().TxnPerSecond());
-  // Tail percentiles of the measured window (virtual time). The total
-  // latency comes from the metrics histogram every run records; the
-  // per-stage attribution comes from the flight recorder.
-  const Histogram& lat = eng.metrics().latency;
-  m.Add("p50_latency_us", static_cast<double>(lat.Percentile(50)) / 1e3);
-  m.Add("p99_latency_us", static_cast<double>(lat.Percentile(99)) / 1e3);
-  m.Add("p999_latency_us", static_cast<double>(lat.Percentile(99.9)) / 1e3);
-  obs::FlightRecorder* fr = eng.flight_recorder();
-  BIONICDB_CHECK(fr != nullptr);
-  for (int i = 0; i < obs::kNumStages; ++i) {
-    const auto s = static_cast<obs::Stage>(i);
-    const Histogram& h = fr->stage_hist(s);
-    m.Add(std::string("stage_") + obs::StageKey(s) + "_p50_us",
-          static_cast<double>(h.Percentile(50)) / 1e3);
-    m.Add(std::string("stage_") + obs::StageKey(s) + "_p999_us",
-          static_cast<double>(h.Percentile(99.9)) / 1e3);
-  }
-  return m;
+Row BenchTatpE2e() {
+  return RunPinnedTatp([](sim::Simulator& sim, engine::Engine& eng) {
+    Timer t;
+    sim.Run();
+    // Wall cost per *committed* txn (the run also executes warmup txns and
+    // aborted attempts; they are part of the price of a committed txn).
+    Row m = t.Stop("tatp_e2e_dora", eng.metrics().commits);
+    m.Add("sim_txn_per_sec", eng.metrics().TxnPerSecond());
+    // Tail percentiles of the measured window (virtual time). The total
+    // latency comes from the metrics histogram every run records; the
+    // per-stage attribution comes from the flight recorder.
+    const Histogram& lat = eng.metrics().latency;
+    m.Add("p50_latency_us", static_cast<double>(lat.Percentile(50)) / 1e3);
+    m.Add("p99_latency_us", static_cast<double>(lat.Percentile(99)) / 1e3);
+    m.Add("p999_latency_us",
+          static_cast<double>(lat.Percentile(99.9)) / 1e3);
+    obs::FlightRecorder* fr = eng.flight_recorder();
+    BIONICDB_CHECK(fr != nullptr);
+    for (int i = 0; i < obs::kNumStages; ++i) {
+      const auto s = static_cast<obs::Stage>(i);
+      const Histogram& h = fr->stage_hist(s);
+      m.Add(std::string("stage_") + obs::StageKey(s) + "_p50_us",
+            static_cast<double>(h.Percentile(50)) / 1e3);
+      m.Add(std::string("stage_") + obs::StageKey(s) + "_p999_us",
+            static_cast<double>(h.Percentile(99.9)) / 1e3);
+    }
+    return m;
+  });
 }
 
 /// Shared tail of the threaded-backend rows: wall-clock throughput plus the
@@ -267,7 +203,7 @@ Metric BenchTatpE2e() {
 /// so the gates can be machine-relative — on a 1-core host the sweep
 /// measures group-commit overlap, not parallel compute, and the checker
 /// must not demand a speedup the hardware cannot produce.
-void AddThreadedExtras(Metric* m, int threads,
+void AddThreadedExtras(Row* m, int threads,
                        const exec::ThreadedBackend::RunReport& rep,
                        const exec::ThreadedStats& stats) {
   m->Add("txn_per_sec", rep.txn_per_sec);
@@ -296,7 +232,7 @@ void AddThreadedExtras(Metric* m, int threads,
 /// committer leads each flush through the default 50us fsync stub — so
 /// even on one core the sweep shows durability waits overlapping as
 /// clients are added.
-Metric BenchTatpThreaded(int threads) {
+Row BenchTatpThreaded(int threads) {
   sim::Simulator sim;
   engine::EngineConfig cfg;  // default: DORA mode, commodity server
   engine::Engine eng(&sim, cfg);
@@ -313,7 +249,7 @@ Metric BenchTatpThreaded(int threads) {
   Timer t;
   exec::ThreadedBackend::RunReport rep =
       backend.RunClosedLoop([&] { return tatp.NextTransaction(); }, opts);
-  Metric m =
+  Row m =
       t.Stop("tatp_threaded_t" + std::to_string(threads), rep.committed);
   backend.Shutdown();
   AddThreadedExtras(&m, threads, rep, backend.stats());
@@ -322,7 +258,7 @@ Metric BenchTatpThreaded(int threads) {
 
 /// TPC-C (NewOrder/Payment mix with dynamic phases) on the threaded
 /// backend — one row at the sweep's widest client count.
-Metric BenchTpccThreaded(int threads) {
+Row BenchTpccThreaded(int threads) {
   sim::Simulator sim;
   engine::EngineConfig cfg;
   engine::Engine eng(&sim, cfg);
@@ -342,32 +278,16 @@ Metric BenchTpccThreaded(int threads) {
   Timer t;
   exec::ThreadedBackend::RunReport rep =
       backend.RunClosedLoop([&] { return tpcc.NextTransaction(); }, opts);
-  Metric m =
+  Row m =
       t.Stop("tpcc_threaded_t" + std::to_string(threads), rep.committed);
   backend.Shutdown();
   AddThreadedExtras(&m, threads, rep, backend.stats());
   return m;
 }
 
-void EmitJson(const std::vector<Metric>& ms, FILE* f) {
-  std::fprintf(f, "{\n");
-  for (size_t i = 0; i < ms.size(); ++i) {
-    const Metric& m = ms[i];
-    std::fprintf(f,
-                 "  \"%s\": {\"ns_per_op\": %.1f, \"allocs_per_op\": %.3f, "
-                 "\"ops\": %llu, \"wall_ms\": %.1f",
-                 m.name.c_str(), m.ns_per_op, m.allocs_per_op,
-                 static_cast<unsigned long long>(m.ops), m.wall_ms);
-    for (const Metric::Extra& e : m.extras) {
-      std::fprintf(f, ", \"%s\": %.*f", e.key.c_str(), e.decimals, e.value);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < ms.size() ? "," : "");
-  }
-  std::fprintf(f, "}\n");
-}
-
 int Main(int argc, char** argv) {
-  std::vector<Metric> ms;
+  const BenchArgs args = ParseBenchArgs(argc, argv, nullptr, /*grid=*/false);
+  std::vector<Row> ms;
   ms.push_back(BenchBtreeProbe("btree_probe_8", /*wide=*/false, false));
   ms.push_back(BenchBtreeProbe("btree_probe_16", /*wide=*/true, false));
   ms.push_back(BenchBtreeProbe("btree_probe_copy_16", /*wide=*/true, true));
@@ -382,13 +302,7 @@ int Main(int argc, char** argv) {
     ms.push_back(BenchTatpThreaded(threads));
   }
   ms.push_back(BenchTpccThreaded(8));
-  EmitJson(ms, stdout);
-  if (argc > 1) {
-    FILE* f = std::fopen(argv[1], "w");
-    BIONICDB_CHECK(f != nullptr);
-    EmitJson(ms, f);
-    std::fclose(f);
-  }
+  EmitRows(ms, args.out_path);
   return 0;
 }
 

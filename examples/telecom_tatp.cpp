@@ -16,21 +16,8 @@ using namespace bionicdb;
 namespace {
 
 void RunOne(engine::EngineMode mode) {
-  engine::EngineConfig config;
-  switch (mode) {
-    case engine::EngineMode::kConventional:
-      config = engine::EngineConfig::Conventional();
-      break;
-    case engine::EngineMode::kDora:
-      config = engine::EngineConfig::Dora();
-      break;
-    case engine::EngineMode::kBionic:
-      config = engine::EngineConfig::Bionic();
-      break;
-  }
-
   sim::Simulator sim;
-  engine::Engine engine(&sim, config);
+  engine::Engine engine(&sim, engine::EngineConfig::For(mode));
   workload::TatpConfig wcfg;
   wcfg.subscribers = 10000;
   workload::TatpWorkload tatp(&engine, wcfg);

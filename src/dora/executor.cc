@@ -4,6 +4,11 @@
 
 namespace bionicdb::dora {
 
+namespace {
+/// Depth of each partition's simulated action queue.
+constexpr size_t kPartitionQueueCapacity = 1024;
+}  // namespace
+
 Executor::Executor(hw::Platform* platform, const ExecutorConfig& config,
                    hw::QueueEngine* queue_engine, hw::Breakdown* breakdown)
     : platform_(platform), config_(config), queue_engine_(queue_engine),
@@ -13,7 +18,7 @@ Executor::Executor(hw::Platform* platform, const ExecutorConfig& config,
   for (int i = 0; i < config.num_partitions; ++i) {
     partitions_.push_back(std::make_unique<Partition>(
         platform->simulator(), static_cast<uint32_t>(i),
-        config.queue_capacity));
+        kPartitionQueueCapacity));
   }
   if (obs::Tracer* t = platform->tracer(); t != nullptr) {
     tracer_ = t;

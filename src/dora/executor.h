@@ -21,7 +21,6 @@ namespace bionicdb::dora {
 
 struct ExecutorConfig {
   int num_partitions = 6;
-  size_t queue_capacity = 1024;
   queueing::DozePolicy doze;
   /// Offload queue management to the hardware queue engine.
   bool hw_queues = false;

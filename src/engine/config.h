@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "hw/log_unit.h"
 #include "hw/platform.h"
@@ -29,6 +30,11 @@ namespace bionicdb::engine {
 enum class EngineMode { kConventional, kDora, kBionic };
 
 const char* EngineModeName(EngineMode m);
+/// The lowercase name the command-line tools take: "conventional", "dora"
+/// or "bionic".
+const char* EngineModeArg(EngineMode m);
+/// Parses a name EngineModeArg returns; false for any other string.
+bool ParseEngineMode(std::string_view name, EngineMode* mode);
 
 /// Per-unit offload switches (the E9 ablation knobs). Only consulted in
 /// kBionic mode.
@@ -111,6 +117,8 @@ struct EngineConfig {
   static EngineConfig Dora();
   /// The bionic hybrid on the Convey HC-2 platform, all units offloaded.
   static EngineConfig Bionic();
+  /// The preset of `mode`: one of the three above.
+  static EngineConfig For(EngineMode mode);
 };
 
 }  // namespace bionicdb::engine

@@ -10,6 +10,11 @@
 
 namespace bionicdb::exec {
 
+namespace {
+/// Partition mailbox depth (actions + release messages in flight).
+constexpr size_t kMailboxCapacity = 4096;
+}  // namespace
+
 ThreadedBackend::ThreadedBackend(engine::Engine* engine, const Config& config)
     : engine_(engine), config_(config), wal_(config.wal),
       free_actions_(4096) {
@@ -26,7 +31,7 @@ ThreadedBackend::ThreadedBackend(engine::Engine* engine, const Config& config)
     partitions_.push_back(std::make_unique<dora::Partition>(
         engine->simulator(), static_cast<uint32_t>(i), /*queue_capacity=*/2));
     queues_.push_back(
-        std::make_unique<MpscBlockingQueue<Msg>>(config.queue_capacity));
+        std::make_unique<MpscBlockingQueue<Msg>>(kMailboxCapacity));
   }
 }
 

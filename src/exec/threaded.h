@@ -54,8 +54,6 @@ struct ThreadedStats {
 class ThreadedBackend {
  public:
   struct Config {
-    /// Partition mailbox depth (actions + release messages in flight).
-    size_t queue_capacity = 4096;
     ThreadedWal::Config wal;
   };
 

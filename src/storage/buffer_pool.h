@@ -27,12 +27,6 @@ struct BufferPoolStats {
   uint64_t misses = 0;
   uint64_t evictions = 0;
   uint64_t dirty_writebacks = 0;
-
-  double HitRate() const {
-    const uint64_t total = hits + misses;
-    return total ? static_cast<double>(hits) / static_cast<double>(total)
-                 : 0.0;
-  }
 };
 
 class BufferPool {

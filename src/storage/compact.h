@@ -83,7 +83,6 @@ class PackedKeyIndex {
    private:
     friend class PackedKeyIndex;
     Iterator(const PackedKeyIndex* idx, size_t rank);
-    void DecodeForward(size_t from_rank);
 
     const PackedKeyIndex* idx_;
     size_t rank_;

@@ -95,12 +95,12 @@ sim::Task<Status> LogManager::WaitDurable(Lsn lsn) {
 
 sim::Task<Status> LogManager::FlushWithRetry(uint64_t bytes) {
   Status st = Status::OK();
-  SimTime backoff = retry_.backoff_base_ns;
-  for (int attempt = 0; attempt < retry_.max_attempts; ++attempt) {
+  SimTime backoff = kRetry.backoff_base_ns;
+  for (int attempt = 0; attempt < kRetry.max_attempts; ++attempt) {
     st = co_await DeviceFlush(bytes);
     if (st.ok()) co_return st;
     ++stats_.flush_errors;
-    if (attempt + 1 < retry_.max_attempts) {
+    if (attempt + 1 < kRetry.max_attempts) {
       ++stats_.flush_retries;
       stats_.flush_backoff_ns += backoff;
       if (tracer_ != nullptr) {
@@ -108,7 +108,7 @@ sim::Task<Status> LogManager::FlushWithRetry(uint64_t bytes) {
                          sim_->Now());
       }
       co_await sim::Delay{sim_, backoff};
-      backoff = std::min(backoff * 2, retry_.backoff_max_ns);
+      backoff = std::min(backoff * 2, kRetry.backoff_max_ns);
     }
   }
   co_return st;
@@ -161,7 +161,7 @@ sim::Task<Lsn> HardwareLogManager::Append(LogRecord rec, int socket) {
   // will move the bytes); it must not fail the transaction.
   for (int attempt = 0; !st.ok() && attempt < 2; ++attempt) {
     ++stats_.append_retries;
-    co_await sim::Delay{sim_, retry_.backoff_base_ns};
+    co_await sim::Delay{sim_, kRetry.backoff_base_ns};
     st = co_await unit_->Insert(rec.SerializedSize(), socket);
   }
   if (!st.ok()) ++stats_.append_errors;

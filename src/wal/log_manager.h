@@ -78,8 +78,6 @@ class LogManager {
   /// flush (flush_in_progress_ serializes them), instants for each backoff
   /// and for abandoned flushes. Enabled tracers only.
   void AttachTracer(obs::Tracer* tracer);
-  void SetRetryPolicy(const RetryPolicy& policy) { retry_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_; }
 
   /// Next LSN to be assigned (== total bytes appended).
   Lsn current_lsn() const { return static_cast<Lsn>(buffer_.size()); }
@@ -106,7 +104,7 @@ class LogManager {
   /// outcome (IOError under fault injection).
   virtual sim::Task<Status> DeviceFlush(uint64_t bytes) = 0;
 
-  /// One logical flush: attempts DeviceFlush up to retry_.max_attempts
+  /// One logical flush: attempts DeviceFlush up to kRetry.max_attempts
   /// times, backing off exponentially in virtual time between attempts.
   sim::Task<Status> FlushWithRetry(uint64_t bytes);
 
@@ -128,7 +126,7 @@ class LogManager {
   bool flush_in_progress_ = false;
   sim::CondVar flush_cv_;
   LogStats stats_;
-  RetryPolicy retry_;
+  static constexpr RetryPolicy kRetry{};
   sim::FaultInjector* faults_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   uint16_t trace_track_ = 0;

@@ -164,21 +164,9 @@ CrashHarnessConfig CrashHarnessConfig::ThreeShardCrossShard() {
 }
 
 engine::EngineConfig HarnessEngineConfig(engine::EngineMode mode) {
-  switch (mode) {
-    case engine::EngineMode::kConventional:
-      return engine::EngineConfig::Conventional();
-    case engine::EngineMode::kDora: {
-      engine::EngineConfig c = engine::EngineConfig::Dora();
-      c.num_partitions = 4;
-      return c;
-    }
-    case engine::EngineMode::kBionic: {
-      engine::EngineConfig c = engine::EngineConfig::Bionic();
-      c.num_partitions = 4;
-      return c;
-    }
-  }
-  return engine::EngineConfig::Dora();
+  engine::EngineConfig c = engine::EngineConfig::For(mode);
+  if (mode != engine::EngineMode::kConventional) c.num_partitions = 4;
+  return c;
 }
 
 const char* TailFaultName(TailFault f) {

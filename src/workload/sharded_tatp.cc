@@ -47,18 +47,6 @@ Status ShardedTatp::Load() {
   return Status::OK();
 }
 
-TatpTxnType ShardedTatp::DrawType() {
-  // Same thresholds (and draw) as TatpWorkload::NextTransaction's roll.
-  const uint64_t roll = mix_rng_.Uniform(100);
-  if (roll < 35) return TatpTxnType::kGetSubscriberData;
-  if (roll < 45) return TatpTxnType::kGetNewDestination;
-  if (roll < 80) return TatpTxnType::kGetAccessData;
-  if (roll < 82) return TatpTxnType::kUpdateSubscriberData;
-  if (roll < 96) return TatpTxnType::kUpdateLocation;
-  if (roll < 98) return TatpTxnType::kInsertCallForwarding;
-  return TatpTxnType::kDeleteCallForwarding;
-}
-
 shard::ShardedTxn ShardedTatp::NextTransaction() {
   shard::ShardedTxn txn;
   if (cluster_->num_shards() == 1) {
@@ -111,7 +99,7 @@ shard::ShardedTxn ShardedTatp::NextTransaction() {
   }
   // Single-shard: mirror the unsharded mix draws, build on the owner.
   const uint64_t s_id = mix_rng_.Uniform(config_.subscribers);
-  const TatpTxnType type = DrawType();
+  const TatpTxnType type = TatpMixType(mix_rng_.Uniform(100));
   const int owner = router.OwnerOf(s_id);
   txn.fragments.push_back(
       {owner, tatp_[static_cast<size_t>(owner)]->BuildTransaction(type, s_id)});

@@ -65,8 +65,6 @@ class ShardedTatp {
   }
 
  private:
-  TatpTxnType DrawType();
-
   shard::Cluster* cluster_;
   ShardedTatpConfig config_;
   Rng mix_rng_;    ///< (s_id, type) draws — mirrors TatpWorkload's mix.

@@ -390,25 +390,19 @@ Engine::TxnSpec TatpWorkload::MakeDeleteCallForwarding(uint64_t s_id) {
   return spec;
 }
 
+TatpTxnType TatpMixType(uint64_t roll) {
+  if (roll < 35) return TatpTxnType::kGetSubscriberData;
+  if (roll < 45) return TatpTxnType::kGetNewDestination;
+  if (roll < 80) return TatpTxnType::kGetAccessData;
+  if (roll < 82) return TatpTxnType::kUpdateSubscriberData;
+  if (roll < 96) return TatpTxnType::kUpdateLocation;
+  if (roll < 98) return TatpTxnType::kInsertCallForwarding;
+  return TatpTxnType::kDeleteCallForwarding;
+}
+
 Engine::TxnSpec TatpWorkload::NextTransaction(TatpTxnType* type_out) {
   const uint64_t s_id = RandomSubscriber();
-  const uint64_t roll = rng_.Uniform(100);
-  TatpTxnType type;
-  if (roll < 35) {
-    type = TatpTxnType::kGetSubscriberData;
-  } else if (roll < 45) {
-    type = TatpTxnType::kGetNewDestination;
-  } else if (roll < 80) {
-    type = TatpTxnType::kGetAccessData;
-  } else if (roll < 82) {
-    type = TatpTxnType::kUpdateSubscriberData;
-  } else if (roll < 96) {
-    type = TatpTxnType::kUpdateLocation;
-  } else if (roll < 98) {
-    type = TatpTxnType::kInsertCallForwarding;
-  } else {
-    type = TatpTxnType::kDeleteCallForwarding;
-  }
+  const TatpTxnType type = TatpMixType(rng_.Uniform(100));
   if (type_out) *type_out = type;
   return BuildTransaction(type, s_id);
 }

@@ -78,6 +78,9 @@ enum class TatpTxnType : int {
 
 const char* TatpTxnTypeName(TatpTxnType t);
 
+/// The standard mix: the transaction type of a uniform roll in [0, 100).
+TatpTxnType TatpMixType(uint64_t roll);
+
 struct TatpConfig {
   uint64_t subscribers = 10000;
   uint64_t seed = 1;

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "engine/engine.h"
 #include "index/codec.h"
@@ -69,15 +70,9 @@ Engine::TxnSpec SingleStepTxn(Engine* eng, Table* table,
 class EngineModeTest : public ::testing::TestWithParam<EngineMode> {};
 
 EngineConfig ConfigFor(EngineMode mode) {
-  switch (mode) {
-    case EngineMode::kConventional:
-      return EngineConfig::Conventional();
-    case EngineMode::kDora:
-      return SmallDora();
-    case EngineMode::kBionic:
-      return SmallBionic();
-  }
-  return EngineConfig::Dora();
+  EngineConfig c = EngineConfig::For(mode);
+  if (mode != EngineMode::kConventional) c.num_partitions = 4;
+  return c;
 }
 
 TEST_P(EngineModeTest, ReadYourLoad) {
@@ -304,6 +299,26 @@ INSTANTIATE_TEST_SUITE_P(AllModes, EngineModeTest,
                          [](const ::testing::TestParamInfo<EngineMode>& info) {
                            return EngineModeName(info.param);
                          });
+
+// The command-line tools' mode names, and the preset each one selects.
+TEST(EngineConfigTest, ModeNamesParseToTheirPresets) {
+  const std::pair<const char*, EngineMode> names[] = {
+      {"conventional", EngineMode::kConventional},
+      {"dora", EngineMode::kDora},
+      {"bionic", EngineMode::kBionic}};
+  for (const auto& [name, want] : names) {
+    EngineMode got = EngineMode::kDora;
+    ASSERT_TRUE(ParseEngineMode(name, &got)) << name;
+    EXPECT_EQ(got, want);
+    EXPECT_STREQ(EngineModeArg(want), name);
+    EXPECT_EQ(EngineConfig::For(want).mode, want);
+  }
+  EXPECT_TRUE(EngineConfig::For(EngineMode::kBionic).platform.has_fpga);
+  EngineMode untouched = EngineMode::kDora;
+  EXPECT_FALSE(ParseEngineMode("bionc", &untouched));
+  EXPECT_FALSE(ParseEngineMode("DORA", &untouched));
+  EXPECT_EQ(untouched, EngineMode::kDora);
+}
 
 // ------------------------------------------------------- overlay specifics --
 

@@ -32,6 +32,7 @@
 #include "index/codec.h"
 #include "sim/simulator.h"
 #include "wal/record.h"
+#include "workload/crash_harness.h"
 #include "workload/tatp.h"
 #include "workload/tpcc.h"
 
@@ -42,28 +43,11 @@ using engine::Engine;
 using engine::EngineConfig;
 using engine::EngineMode;
 using sim::Simulator;
+using workload::HarnessEngineConfig;
 using workload::TatpConfig;
 using workload::TatpWorkload;
 using workload::TpccConfig;
 using workload::TpccWorkload;
-
-EngineConfig ConfigFor(EngineMode mode) {
-  switch (mode) {
-    case EngineMode::kConventional:
-      return EngineConfig::Conventional();
-    case EngineMode::kDora: {
-      EngineConfig c = EngineConfig::Dora();
-      c.num_partitions = 4;
-      return c;
-    }
-    case EngineMode::kBionic: {
-      EngineConfig c = EngineConfig::Bionic();
-      c.num_partitions = 4;
-      return c;
-    }
-  }
-  return EngineConfig::Dora();
-}
 
 /// One oracle configuration: an engine mode and a storage form. Four bytes,
 /// mode first, so a paged case prints exactly like a bare EngineMode and
@@ -82,7 +66,7 @@ EngineMode ModeOf(const OracleCase& c) {
 }
 
 EngineConfig ConfigFor(const OracleCase& c) {
-  EngineConfig config = ConfigFor(ModeOf(c));
+  EngineConfig config = HarnessEngineConfig(ModeOf(c));
   config.compact_storage = c.compact;
   return config;
 }
@@ -529,7 +513,7 @@ INSTANTIATE_TEST_SUITE_P(
 // frozen durable prefix, and no later write transaction is acknowledged.
 TEST(ExecBackendCrashTest, AcknowledgedCommitsAreDurable) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(EngineMode::kDora));
+  Engine engine(&sim, HarnessEngineConfig(EngineMode::kDora));
   TatpConfig wcfg;
   wcfg.subscribers = 200;
   TatpWorkload tatp(&engine, wcfg);
@@ -573,7 +557,7 @@ TEST(ExecBackendCrashTest, AcknowledgedCommitsAreDurableConcurrent) {
   Watchdog watchdog("AcknowledgedCommitsAreDurableConcurrent",
                     std::chrono::seconds(120));
   Simulator sim;
-  Engine engine(&sim, ConfigFor(EngineMode::kDora));
+  Engine engine(&sim, HarnessEngineConfig(EngineMode::kDora));
   TatpConfig wcfg;
   wcfg.subscribers = 200;
   TatpWorkload tatp(&engine, wcfg);
@@ -663,7 +647,7 @@ TEST(ExecBackendCrashTest, CrashDuringLeaderFlushFailsLeaderAndFollowers) {
 // here.) The +1 is Shutdown's flush of the tail.
 TEST(ExecBackendCrashTest, OneClientFlushesOncePerWriteCommit) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(EngineMode::kDora));
+  Engine engine(&sim, HarnessEngineConfig(EngineMode::kDora));
   TatpConfig wcfg;
   wcfg.subscribers = 1000;
   TatpWorkload tatp(&engine, wcfg);
@@ -691,7 +675,7 @@ TEST(ExecBackendCrashTest, OneClientFlushesOncePerWriteCommit) {
 // count stays well below append count under load.
 TEST(ExecBackendCrashTest, GroupCommitBatchesFlushes) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(EngineMode::kDora));
+  Engine engine(&sim, HarnessEngineConfig(EngineMode::kDora));
   TatpConfig wcfg;
   wcfg.subscribers = 200;
   TatpWorkload tatp(&engine, wcfg);
@@ -791,7 +775,7 @@ TEST(ThreadedRvpTest, DestroyedAsSoonAsWaitReturns) {
 // clean.
 TEST(ExecBackendOpenLoopTest, OpenLoopOffersShedsAndCommits) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(EngineMode::kDora));
+  Engine engine(&sim, HarnessEngineConfig(EngineMode::kDora));
   TatpConfig wcfg;
   wcfg.subscribers = 500;
   TatpWorkload tatp(&engine, wcfg);
@@ -824,7 +808,7 @@ TEST(ExecBackendOpenLoopTest, OpenLoopOffersShedsAndCommits) {
 // than grow, and served goodput must survive.
 TEST(ExecBackendOpenLoopTest, OpenLoopOverloadSheds) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(EngineMode::kDora));
+  Engine engine(&sim, HarnessEngineConfig(EngineMode::kDora));
   TatpConfig wcfg;
   wcfg.subscribers = 200;
   TatpWorkload tatp(&engine, wcfg);

@@ -342,18 +342,7 @@ namespace {
 class ProjectionTest : public ::testing::TestWithParam<EngineMode> {};
 
 EngineConfig ProjCfg(EngineMode mode) {
-  EngineConfig c;
-  switch (mode) {
-    case EngineMode::kConventional:
-      c = EngineConfig::Conventional();
-      break;
-    case EngineMode::kDora:
-      c = EngineConfig::Dora();
-      break;
-    case EngineMode::kBionic:
-      c = EngineConfig::Bionic();
-      break;
-  }
+  EngineConfig c = EngineConfig::For(mode);
   c.num_partitions = 2;
   return c;
 }

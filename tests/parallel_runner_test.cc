@@ -1,7 +1,9 @@
 // Tests for the deterministic multi-core experiment runner: full index
 // coverage, grid results independent of job count, and — the property the
 // sweep benches rely on — engine simulations running on worker threads
-// produce results identical to the same configurations run serially.
+// produce results identical to the same configurations run serially. Also
+// the JSON benches' command line (--jobs=N picks the grid's thread count)
+// and the byte format of their rows, which tools/check_bench.py reads.
 #include "common/parallel_for.h"
 
 #include <gtest/gtest.h>
@@ -104,6 +106,62 @@ TEST(ParallelRunnerTest, CrashCorpusParallelMatchesSerial) {
     EXPECT_EQ(parallel, serial);
     for (const std::string& f : parallel) EXPECT_EQ(f, "");
   }
+}
+
+bench::BenchArgs Parse(std::vector<const char*> args, const char* flag,
+                       bool grid) {
+  args.insert(args.begin(), "bench");
+  return bench::ParseBenchArgs(static_cast<int>(args.size()),
+                               const_cast<char**>(args.data()), flag, grid);
+}
+
+TEST(BenchArgsTest, JobsAndOutputPathInAnyOrder) {
+  for (const auto& argv : {std::vector<const char*>{"out.json", "--jobs=1"},
+                           std::vector<const char*>{"--jobs=1", "out.json"}}) {
+    const bench::BenchArgs a = Parse(argv, "--smoke", /*grid=*/true);
+    EXPECT_EQ(a.jobs, 1u);
+    EXPECT_EQ(a.out_path, "out.json");
+    EXPECT_FALSE(a.flag);
+  }
+  const bench::BenchArgs none = Parse({}, nullptr, /*grid=*/false);
+  EXPECT_EQ(none.jobs, common::DefaultJobs());
+  EXPECT_EQ(none.out_path, "");
+}
+
+TEST(BenchArgsTest, EachBenchTakesItsOwnFlag) {
+  EXPECT_TRUE(Parse({"--smoke"}, "--smoke", true).flag);
+  const bench::BenchArgs a =
+      Parse({"--sim-only", "--jobs=3", "o.json"}, "--sim-only", true);
+  EXPECT_TRUE(a.flag);
+  EXPECT_EQ(a.jobs, 3u);
+  EXPECT_EQ(a.out_path, "o.json");
+}
+
+TEST(BenchArgsTest, RejectsAnythingElse) {
+  const auto usage = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(Parse({"--bogus"}, "--smoke", true), usage, "usage");
+  EXPECT_EXIT(Parse({"--sim-only"}, "--smoke", true), usage, "usage");
+  EXPECT_EXIT(Parse({"--jobs", "1", "o.json"}, "--smoke", true), usage,
+              "usage");
+  EXPECT_EXIT(Parse({"--jobs=0"}, "--smoke", true), usage, "usage");
+  EXPECT_EXIT(Parse({"--jobs=2"}, nullptr, /*grid=*/false), usage, "usage");
+  EXPECT_EXIT(Parse({"a.json", "b.json"}, nullptr, false), usage, "usage");
+}
+
+TEST(BenchRowsTest, ByteFormat) {
+  bench::Row pin("tatp_e2e_dora");
+  pin.Add("ops", 6000, 0);
+  pin.Add("sim_txn_per_sec", 2192905.5);
+  bench::Row insert("btree_insert_16", 3);
+  insert.Add("bytes_per_entry", 132.87664, 5);
+  insert.Add("shed_rate", 0.25);
+  EXPECT_EQ(bench::FormatRows({pin, insert}),
+            "{\n"
+            "  \"tatp_e2e_dora\": {\"ops\": 6000, "
+            "\"sim_txn_per_sec\": 2192905.5},\n"
+            "  \"btree_insert_16\": {\"bytes_per_entry\": 132.87664, "
+            "\"shed_rate\": 0.250}\n"
+            "}\n");
 }
 
 }  // namespace

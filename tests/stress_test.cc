@@ -26,25 +26,9 @@ using sim::Task;
 
 class StressTest : public ::testing::TestWithParam<EngineMode> {};
 
-EngineConfig StressCfg(EngineMode mode) {
-  EngineConfig c;
-  switch (mode) {
-    case EngineMode::kConventional:
-      c = EngineConfig::Conventional();
-      break;
-    case EngineMode::kDora:
-      c = EngineConfig::Dora();
-      break;
-    case EngineMode::kBionic:
-      c = EngineConfig::Bionic();
-      break;
-  }
-  return c;
-}
-
 TEST_P(StressTest, MixedSessionWithMaintenanceSurvivesAudit) {
   Simulator sim;
-  Engine engine(&sim, StressCfg(GetParam()));
+  Engine engine(&sim, EngineConfig::For(GetParam()));
 
   workload::TatpConfig tatp_cfg;
   tatp_cfg.subscribers = 800;

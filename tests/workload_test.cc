@@ -9,6 +9,7 @@
 #include "engine/engine.h"
 #include "index/codec.h"
 #include "sim/simulator.h"
+#include "workload/crash_harness.h"
 #include "workload/driver.h"
 #include "workload/tatp.h"
 #include "workload/tpcc.h"
@@ -26,31 +27,13 @@ using index::EncodeKeyU64Triple;
 using sim::Simulator;
 using sim::Task;
 
-EngineConfig ConfigFor(EngineMode mode) {
-  switch (mode) {
-    case EngineMode::kConventional:
-      return EngineConfig::Conventional();
-    case EngineMode::kDora: {
-      EngineConfig c = EngineConfig::Dora();
-      c.num_partitions = 4;
-      return c;
-    }
-    case EngineMode::kBionic: {
-      EngineConfig c = EngineConfig::Bionic();
-      c.num_partitions = 4;
-      return c;
-    }
-  }
-  return EngineConfig::Dora();
-}
-
 class WorkloadModeTest : public ::testing::TestWithParam<EngineMode> {};
 
 // -------------------------------------------------------------------- TATP --
 
 TEST_P(WorkloadModeTest, TatpMixRunsClean) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(GetParam()));
+  Engine engine(&sim, HarnessEngineConfig(GetParam()));
   TatpConfig wcfg;
   wcfg.subscribers = 500;
   TatpWorkload tatp(&engine, wcfg);
@@ -76,7 +59,7 @@ TEST_P(WorkloadModeTest, TatpMixRunsClean) {
 
 TEST_P(WorkloadModeTest, TatpUpdateLocationRoundTrip) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(GetParam()));
+  Engine engine(&sim, HarnessEngineConfig(GetParam()));
   TatpConfig wcfg;
   wcfg.subscribers = 100;
   TatpWorkload tatp(&engine, wcfg);
@@ -102,7 +85,7 @@ TEST_P(WorkloadModeTest, TatpUpdateLocationRoundTrip) {
 
 TEST_P(WorkloadModeTest, TatpInsertThenDeleteCallForwarding) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(GetParam()));
+  Engine engine(&sim, HarnessEngineConfig(GetParam()));
   TatpConfig wcfg;
   wcfg.subscribers = 50;
   TatpWorkload tatp(&engine, wcfg);
@@ -128,7 +111,7 @@ TEST_P(WorkloadModeTest, TatpInsertThenDeleteCallForwarding) {
 
 TEST_P(WorkloadModeTest, TpccNewOrderConsistency) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(GetParam()));
+  Engine engine(&sim, HarnessEngineConfig(GetParam()));
   TpccConfig wcfg;
   wcfg.items = 200;
   wcfg.customers_per_district = 30;
@@ -181,7 +164,7 @@ TEST_P(WorkloadModeTest, TpccNewOrderConsistency) {
 
 TEST_P(WorkloadModeTest, TpccPaymentConservesMoney) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(GetParam()));
+  Engine engine(&sim, HarnessEngineConfig(GetParam()));
   TpccConfig wcfg;
   wcfg.items = 100;
   wcfg.customers_per_district = 20;
@@ -219,7 +202,7 @@ TEST_P(WorkloadModeTest, TpccPaymentConservesMoney) {
 
 TEST_P(WorkloadModeTest, TpccStockLevelCountsBelowThreshold) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(GetParam()));
+  Engine engine(&sim, HarnessEngineConfig(GetParam()));
   TpccConfig wcfg;
   wcfg.items = 100;
   wcfg.customers_per_district = 10;
@@ -241,7 +224,7 @@ TEST_P(WorkloadModeTest, TpccStockLevelCountsBelowThreshold) {
 
 TEST_P(WorkloadModeTest, TpccMixedRunStaysConsistent) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(GetParam()));
+  Engine engine(&sim, HarnessEngineConfig(GetParam()));
   TpccConfig wcfg;
   wcfg.items = 200;
   wcfg.customers_per_district = 20;
@@ -293,7 +276,7 @@ INSTANTIATE_TEST_SUITE_P(AllModes, WorkloadModeTest,
 TEST(WorkloadDeterminismTest, SameSeedSameResult) {
   auto run = []() {
     Simulator sim;
-    Engine engine(&sim, ConfigFor(EngineMode::kDora));
+    Engine engine(&sim, HarnessEngineConfig(EngineMode::kDora));
     TatpConfig wcfg;
     wcfg.subscribers = 200;
     TatpWorkload tatp(&engine, wcfg);
@@ -320,7 +303,7 @@ TEST(WorkloadEquivalenceTest, AllEnginesProduceIdenticalTatpState) {
   // engine changes *where* work happens, never *what* is computed.
   auto final_state = [](EngineMode mode) {
     Simulator sim;
-    Engine engine(&sim, ConfigFor(mode));
+    Engine engine(&sim, HarnessEngineConfig(mode));
     TatpConfig wcfg;
     wcfg.subscribers = 100;
     wcfg.seed = 99;
@@ -356,7 +339,7 @@ class TpccFullMixTest : public ::testing::TestWithParam<engine::EngineMode> {};
 
 TEST_P(TpccFullMixTest, DeliveryDrainsNewOrdersAndCreditsCustomers) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(GetParam()));
+  Engine engine(&sim, HarnessEngineConfig(GetParam()));
   TpccConfig wcfg;
   wcfg.items = 100;
   wcfg.customers_per_district = 20;
@@ -422,7 +405,7 @@ TEST_P(TpccFullMixTest, DeliveryDrainsNewOrdersAndCreditsCustomers) {
 
 TEST_P(TpccFullMixTest, OrderStatusFindsNewestOrder) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(GetParam()));
+  Engine engine(&sim, HarnessEngineConfig(GetParam()));
   TpccConfig wcfg;
   wcfg.items = 100;
   wcfg.customers_per_district = 5;
@@ -445,7 +428,7 @@ TEST_P(TpccFullMixTest, OrderStatusFindsNewestOrder) {
 
 TEST_P(TpccFullMixTest, FullFiveTxnMixStaysConsistent) {
   Simulator sim;
-  Engine engine(&sim, ConfigFor(GetParam()));
+  Engine engine(&sim, HarnessEngineConfig(GetParam()));
   TpccConfig wcfg;
   wcfg.items = 200;
   wcfg.customers_per_district = 20;

@@ -23,7 +23,7 @@ namespace {
 
 struct Options {
   std::string workload = "tatp";
-  std::string engine = "bionic";
+  engine::EngineMode mode = engine::EngineMode::kBionic;
   uint64_t txns = 5000;
   uint64_t warmup = 1000;
   int clients = 32;
@@ -77,7 +77,10 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
     if (ParseArg(argv[i], "--workload", &v)) {
       opt->workload = v;
     } else if (ParseArg(argv[i], "--engine", &v)) {
-      opt->engine = v;
+      if (!engine::ParseEngineMode(v, &opt->mode)) {
+        std::fprintf(stderr, "unknown engine '%s'\n", v.c_str());
+        return false;
+      }
     } else if (ParseArg(argv[i], "--txns", &v)) {
       opt->txns = std::strtoull(v.c_str(), nullptr, 10);
     } else if (ParseArg(argv[i], "--warmup", &v)) {
@@ -118,17 +121,7 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
 }
 
 engine::EngineConfig BuildConfig(const Options& opt) {
-  engine::EngineConfig config;
-  if (opt.engine == "conventional") {
-    config = engine::EngineConfig::Conventional();
-  } else if (opt.engine == "dora") {
-    config = engine::EngineConfig::Dora();
-  } else if (opt.engine == "bionic") {
-    config = engine::EngineConfig::Bionic();
-  } else {
-    std::fprintf(stderr, "unknown engine '%s'\n", opt.engine.c_str());
-    std::exit(2);
-  }
+  engine::EngineConfig config = engine::EngineConfig::For(opt.mode);
   config.platform.cpu_sockets = opt.sockets;
   config.sockets = opt.sockets;
   config.num_partitions = opt.partitions > 0
@@ -137,7 +130,7 @@ engine::EngineConfig BuildConfig(const Options& opt) {
   config.overlay_residency = opt.residency;
   config.overlay_capacity = opt.overlay_capacity;
   if (opt.pcie_rtt_ns > 0) config.platform.pcie.latency_ns = opt.pcie_rtt_ns / 2;
-  if (opt.engine == "bionic") {
+  if (opt.mode == engine::EngineMode::kBionic) {
     engine::OffloadConfig off = engine::OffloadConfig::AllOff();
     if (opt.offload == "all") {
       off = engine::OffloadConfig::AllOn();

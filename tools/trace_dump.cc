@@ -39,7 +39,7 @@ using namespace bionicdb;
 namespace {
 
 struct Options {
-  std::string mode = "bionic";
+  engine::EngineMode mode = engine::EngineMode::kBionic;
   uint64_t txns = 2000;
   uint64_t warmup = 500;
   int clients = 16;
@@ -80,7 +80,10 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
     } else if (ParseFlag(argv[i], "--out", &v) || ParseFlag(argv[i], "-o", &v)) {
       opt->out = v;
     } else if (ParseFlag(argv[i], "--mode", &v)) {
-      opt->mode = v;
+      if (!engine::ParseEngineMode(v, &opt->mode)) {
+        std::fprintf(stderr, "unknown --mode=%s\n", v);
+        return false;
+      }
     } else if (ParseFlag(argv[i], "--txns", &v)) {
       opt->txns = std::strtoull(v, nullptr, 10);
     } else if (ParseFlag(argv[i], "--warmup", &v)) {
@@ -108,17 +111,7 @@ struct RunOutput {
 };
 
 RunOutput RunOnce(const Options& opt) {
-  engine::EngineConfig config;
-  if (opt.mode == "bionic") {
-    config = engine::EngineConfig::Bionic();
-  } else if (opt.mode == "dora") {
-    config = engine::EngineConfig::Dora();
-  } else if (opt.mode == "conventional") {
-    config = engine::EngineConfig::Conventional();
-  } else {
-    std::fprintf(stderr, "unknown --mode=%s\n", opt.mode.c_str());
-    std::exit(2);
-  }
+  engine::EngineConfig config = engine::EngineConfig::For(opt.mode);
   config.trace.enabled = true;
 
   sim::Simulator sim;
@@ -160,14 +153,7 @@ struct TailOutput {
 };
 
 TailOutput RunTailOnce(const Options& opt, bool tpcc) {
-  engine::EngineConfig config;
-  if (opt.mode == "bionic") {
-    config = engine::EngineConfig::Bionic();
-  } else if (opt.mode == "dora") {
-    config = engine::EngineConfig::Dora();
-  } else {
-    config = engine::EngineConfig::Conventional();
-  }
+  engine::EngineConfig config = engine::EngineConfig::For(opt.mode);
   config.trace.enabled = true;   // carries the outlier export
   config.flight.enabled = true;
   config.profile.enabled = true;
@@ -315,8 +301,10 @@ int Validate(const Options& opt, const RunOutput& first) {
   // and an instrumented component that never ran still shows up — so also
   // require events were recorded at all).
   std::vector<const char*> required = {"sim/", "engine/", "wal/"};
-  if (opt.mode != "conventional") required.push_back("dora/");
-  if (opt.mode == "bionic") required.push_back("hw/");
+  if (opt.mode != engine::EngineMode::kConventional) {
+    required.push_back("dora/");
+  }
+  if (opt.mode == engine::EngineMode::kBionic) required.push_back("hw/");
   for (const char* prefix : required) {
     if (!HasTrackWithPrefix(first.tracks, prefix)) {
       std::fprintf(stderr, "FAIL: no trace track with prefix \"%s\"\n", prefix);
@@ -384,7 +372,8 @@ int main(int argc, char** argv) {
 
   RunOutput run = RunOnce(opt);
   std::printf("mode=%s commits=%llu events=%llu dropped=%llu tracks=%zu\n",
-              opt.mode.c_str(), static_cast<unsigned long long>(run.commits),
+              engine::EngineModeArg(opt.mode),
+              static_cast<unsigned long long>(run.commits),
               static_cast<unsigned long long>(run.events),
               static_cast<unsigned long long>(run.dropped), run.tracks.size());
 
