@@ -72,7 +72,8 @@ Row RunShardedTatp(const RowSpec& spec) {
   wc.cross_shard_ratio = spec.cross_ratio;
   wc.cross_read_ratio = spec.cross_read_ratio;
   workload::ShardedTatp tatp(&cluster, wc);
-  BIONICDB_CHECK(tatp.Load().ok());
+  // One loader thread per row: the grid already runs --jobs rows at once.
+  BIONICDB_CHECK(tatp.Load(/*jobs=*/1).ok());
 
   workload::DriverReport report;
   sim.Spawn(workload::RunClosedLoop(

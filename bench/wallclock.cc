@@ -13,6 +13,7 @@
 
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -24,6 +25,7 @@
 #include "index/btree.h"
 #include "index/codec.h"
 #include "sim/sim_queue.h"
+#include "wal/record.h"
 
 namespace bionicdb::bench {
 namespace {
@@ -202,10 +204,12 @@ Row BenchTatpE2e() {
 /// tagged by name (`*_threaded_t<N>`) and carry `threads` and `host_cores`
 /// so the gates can be machine-relative — on a 1-core host the sweep
 /// measures group-commit overlap, not parallel compute, and the checker
-/// must not demand a speedup the hardware cannot produce.
+/// must not demand a speedup the hardware cannot produce. Call after
+/// Shutdown, which flushes the whole log.
 void AddThreadedExtras(Row* m, int threads,
                        const exec::ThreadedBackend::RunReport& rep,
-                       const exec::ThreadedStats& stats) {
+                       exec::ThreadedBackend& backend) {
+  const exec::ThreadedStats stats = backend.stats();
   m->Add("txn_per_sec", rep.txn_per_sec);
   m->Add("threads", static_cast<double>(threads));
   m->Add("host_cores",
@@ -224,6 +228,25 @@ void AddThreadedExtras(Row* m, int threads,
   // the number of fsyncs a write commit costs.
   m->Add("write_commits",
          static_cast<double>(stats.commits - stats.read_only_commits));
+  // The committed write-set's size: records of transactions whose commit
+  // record is in the log. An aborted attempt's records do not count.
+  auto records = wal::ParseLogStream(Slice(backend.wal().DurablePrefix()));
+  BIONICDB_CHECK(records.ok());
+  std::unordered_set<uint64_t> committed;
+  for (const wal::LogRecord& r : *records) {
+    if (r.type == wal::RecordType::kCommit) committed.insert(r.txn_id);
+  }
+  uint64_t committed_records = 0;
+  for (const wal::LogRecord& r : *records) {
+    committed_records += committed.count(r.txn_id);
+  }
+  m->Add("committed_records", static_cast<double>(committed_records));
+  // How much ran on the clients' own threads (warmup included): every
+  // lock attempt ends executed, parked or dead.
+  m->Add("action_attempts",
+         static_cast<double>(stats.actions_executed + stats.actions_parked +
+                             stats.wait_die_aborts));
+  m->Add("actions_inline", static_cast<double>(stats.actions_inline));
 }
 
 /// TATP on the real-thread backend (exec::ThreadedBackend), closed loop
@@ -252,7 +275,7 @@ Row BenchTatpThreaded(int threads) {
   Row m =
       t.Stop("tatp_threaded_t" + std::to_string(threads), rep.committed);
   backend.Shutdown();
-  AddThreadedExtras(&m, threads, rep, backend.stats());
+  AddThreadedExtras(&m, threads, rep, backend);
   return m;
 }
 
@@ -281,7 +304,7 @@ Row BenchTpccThreaded(int threads) {
   Row m =
       t.Stop("tpcc_threaded_t" + std::to_string(threads), rep.committed);
   backend.Shutdown();
-  AddThreadedExtras(&m, threads, rep, backend.stats());
+  AddThreadedExtras(&m, threads, rep, backend);
   return m;
 }
 

@@ -14,9 +14,10 @@
 namespace bionicdb::exec {
 
 /// Bounded blocking queue for real threads. Producers are the client/driver
-/// threads dispatching actions and release messages; the single consumer is
-/// the partition's agent thread (the ring itself is MPMC-safe, so "single
-/// consumer" is a usage convention, not a correctness requirement).
+/// threads dispatching actions and queuing the actions their releases woke;
+/// the single consumer is the partition's agent thread (the ring itself is
+/// MPMC-safe, so "single consumer" is a usage convention, not a correctness
+/// requirement).
 ///
 /// Layout reuses the allocation-free Vyukov sequence-slot ring from PR 2's
 /// queueing::MpmcQueue: the steady-state push/pop cycle is two CAS-free
@@ -47,6 +48,10 @@ class MpscBlockingQueue {
       cv_.notify_all();
     }
   }
+
+  /// Snapshot of the ring (queueing::MpmcQueue::Empty): clients check it
+  /// before running a step inline, so as not to overtake queued work.
+  bool Empty() const { return ring_.Empty(); }
 
   /// Blocking pop: brief spin, then park on the condvar. The re-check after
   /// registering in `sleepers_` (under the lock, behind a fence) closes the

@@ -11,27 +11,28 @@
 namespace bionicdb::exec {
 
 namespace {
-/// Partition mailbox depth (actions + release messages in flight).
+/// Partition mailbox depth (actions in flight).
 constexpr size_t kMailboxCapacity = 4096;
 }  // namespace
+
+ThreadedBackend::Lane::Lane(sim::Simulator* sim, uint32_t id)
+    // The partition's embedded SimQueue is unused here (capacity 2, the
+    // minimum); only its lock and park tables are exercised.
+    : part(sim, id, /*queue_capacity=*/2), mailbox(kMailboxCapacity) {}
 
 ThreadedBackend::ThreadedBackend(engine::Engine* engine, const Config& config)
     : engine_(engine), config_(config), wal_(config.wal),
       free_actions_(4096) {
   // Partition count MUST equal the engine's: Engine::PartitionOf (which
-  // workloads use to group a step's keys) and Dispatch below both route
+  // workloads use to group a step's keys) and LaneOf below both route
   // through the engine executor's Route, which takes the modulo of the
   // engine's count. A mismatch would let one key lock on a partition this
   // backend does not have.
   const int n = engine->config().num_partitions;
   BIONICDB_CHECK(n > 0 && n <= 64);  // ReleaseTxnLocks uses a 64-bit mask
   for (int i = 0; i < n; ++i) {
-    // The partition's embedded SimQueue is unused here (capacity 2, the
-    // minimum); only its lock and park tables are exercised.
-    partitions_.push_back(std::make_unique<dora::Partition>(
-        engine->simulator(), static_cast<uint32_t>(i), /*queue_capacity=*/2));
-    queues_.push_back(
-        std::make_unique<MpscBlockingQueue<Msg>>(kMailboxCapacity));
+    lanes_.push_back(
+        std::make_unique<Lane>(engine->simulator(), static_cast<uint32_t>(i)));
   }
 }
 
@@ -41,56 +42,35 @@ void ThreadedBackend::Start() {
   BIONICDB_CHECK(!started_);
   started_ = true;
   engine_->AttachThreadedBackend(this);
-  for (uint32_t i = 0; i < partitions_.size(); ++i) {
-    agents_.emplace_back([this, i] { AgentLoop(i); });
+  for (auto& lane : lanes_) {
+    agents_.emplace_back([this, l = lane.get()] { AgentLoop(*l); });
   }
 }
 
 void ThreadedBackend::Shutdown() {
   if (!started_) return;
-  for (auto& q : queues_) {
-    Msg stop;
-    stop.kind = Msg::Kind::kStop;
-    q->Push(stop);
-  }
+  for (auto& lane : lanes_) lane->mailbox.Push(Msg{});  // kStop
   for (auto& t : agents_) t.join();
   agents_.clear();
   // Every transaction has released its locks, so the tables are empty.
-  for (const auto& p : partitions_) {
-    BIONICDB_CHECK_MSG(p->lock_entries() == 0 && p->parked_entries() == 0,
+  for (const auto& lane : lanes_) {
+    const dora::Partition& p = lane->part;
+    BIONICDB_CHECK_MSG(p.lock_entries() == 0 && p.parked_entries() == 0,
                        "shutdown with %zu locked and %zu parked keys in "
                        "partition %u",
-                       p->lock_entries(), p->parked_entries(), p->id());
+                       p.lock_entries(), p.parked_entries(), p.id());
   }
   wal_.Flush();
   engine_->AttachThreadedBackend(nullptr);
   started_ = false;
 }
 
-void ThreadedBackend::AgentLoop(uint32_t pid) {
-  dora::Partition& part = *partitions_[pid];
-  MpscBlockingQueue<Msg>& q = *queues_[pid];
-  std::vector<dora::Action*> ready;
+void ThreadedBackend::AgentLoop(Lane& lane) {
   for (;;) {
-    Msg msg = q.Pop();
+    const Msg msg = lane.mailbox.Pop();
     if (msg.kind == Msg::Kind::kStop) break;
-    if (msg.kind == Msg::Kind::kRelease) {
-      // All lock-table state for this partition is touched only on this
-      // thread; the transaction's mutex guards its held_locks list, which
-      // ReleaseLocks prunes.
-      ready.clear();
-      {
-        std::lock_guard<std::mutex> lk(msg.release_xct->mu);
-        part.ReleaseLocks(msg.release_xct, &ready);
-      }
-      // Arrive before running the woken actions: the releasing driver only
-      // needs its locks gone, and the woken actions belong to other
-      // transactions whose drivers are still parked in their own Wait().
-      msg.released->Arrive();
-      for (dora::Action* a : ready) HandleAction(part, a);
-      continue;
-    }
-    HandleAction(part, msg.action);
+    std::lock_guard<std::mutex> token(lane.token);
+    HandleAction(lane.part, msg.action);
   }
 }
 
@@ -104,7 +84,7 @@ void ThreadedBackend::HandleAction(dora::Partition& part,
   }
   if (lock == dora::LockOutcome::kParked) {
     actions_parked_.fetch_add(1, std::memory_order_relaxed);
-    return;  // re-surfaces via a kRelease message
+    return;  // re-surfaces when a release on this partition wakes it
   }
   if (lock == dora::LockOutcome::kDie) {
     wait_die_aborts_.fetch_add(1, std::memory_order_relaxed);
@@ -129,39 +109,69 @@ void ThreadedBackend::HandleAction(dora::Partition& part,
   rvp->Arrive(st);
 }
 
-void ThreadedBackend::Dispatch(dora::Action* action) {
+ThreadedBackend::Lane& ThreadedBackend::LaneOf(const dora::Action* action) {
   BIONICDB_CHECK(action->num_lock_keys() != 0);
   // The engine executor's routing, as in dora::Executor::Dispatch: the
   // first sorted lock key picks the partition.
-  const uint32_t pid =
-      engine_->executor()->Route(action->lock_key(0).hash());
-  Msg msg;
-  msg.kind = Msg::Kind::kAction;
-  msg.action = action;
-  queues_[pid]->Push(msg);
+  return *lanes_[engine_->executor()->Route(action->lock_key(0).hash())];
+}
+
+void ThreadedBackend::Dispatch(dora::Action* action) {
+  LaneOf(action).mailbox.Push(
+      Msg{.kind = Msg::Kind::kAction, .action = action});
+}
+
+void ThreadedBackend::RunOrDispatch(dora::Action* action) {
+  Lane& lane = LaneOf(action);
+  // An empty mailbox means the step overtakes no queued work, woken
+  // actions included. The check is a snapshot: racing the agent's pop, at
+  // most the message it popped is overtaken. Correctness rests on the
+  // token alone.
+  if (!lane.mailbox.Empty() || !lane.token.try_lock()) {
+    Dispatch(action);
+    return;
+  }
+  std::lock_guard<std::mutex> token(lane.token, std::adopt_lock);
+  actions_inline_.fetch_add(1, std::memory_order_relaxed);
+  HandleAction(lane.part, action);
 }
 
 void ThreadedBackend::ReleaseTxnLocks(txn::Xct* xct) {
   if (engine_->config().mode == engine::EngineMode::kConventional) return;
   // Safe to read held_locks without the mutex: every action has arrived
-  // (the RVP carries the happens-before edge) and no agent touches this
-  // transaction again until the release messages below.
+  // (the RVP carries the happens-before edge) and nothing touches this
+  // transaction's locks again until the releases below.
   uint64_t mask = 0;
   for (const auto& [pid, key] : xct->held_locks) mask |= uint64_t{1} << pid;
-  if (mask == 0) return;
-  dora::Rvp released(engine_->simulator(), std::popcount(mask),
-                     /*threaded=*/true);
-  for (uint32_t pid = 0; pid < partitions_.size(); ++pid) {
-    if (((mask >> pid) & 1) == 0) continue;
-    Msg msg;
-    msg.kind = Msg::Kind::kRelease;
-    msg.release_xct = xct;
-    msg.released = &released;
-    queues_[pid]->Push(msg);
+  for (; mask != 0; mask &= mask - 1) {
+    Lane& lane = *lanes_[std::countr_zero(mask)];
+    // Waiting is safe: this client holds no latch, and the token's holder
+    // runs one partition step, which never waits on a partition lock. It
+    // spins before it parks, like every wait here, so a short step costs
+    // no futex wake-up. No mailbox check either: releasing early only
+    // lets queued actions find the locks free.
+    std::unique_lock<std::mutex> token(lane.token, std::defer_lock);
+    for (int spin = 0; !token.try_lock(); ++spin) {
+      if (spin == queueing::kSpinYieldsBeforePark) {
+        token.lock();
+        break;
+      }
+      std::this_thread::yield();
+    }
+    lane.woken.clear();
+    {
+      // The transaction's mutex guards its held_locks list, which
+      // ReleaseLocks prunes.
+      std::lock_guard<std::mutex> lk(xct->mu);
+      lane.part.ReleaseLocks(xct, &lane.woken);
+    }
+    // A woken action retries its locks through the agent, behind whatever
+    // is queued by then. (The agent pops before it takes the token, so
+    // this push never waits on the token this client holds.)
+    for (dora::Action* a : lane.woken) {
+      lane.mailbox.Push(Msg{.kind = Msg::Kind::kAction, .action = a});
+    }
   }
-  // Synchronous: the Xct lives on this caller's stack, so the release must
-  // not outlive Execute().
-  (void)sim::RunToCompletion(released.Wait());
 }
 
 dora::Action* ThreadedBackend::AcquireAction() {
@@ -462,6 +472,7 @@ ThreadedStats ThreadedBackend::stats() const {
       durability_failures_.load(std::memory_order_relaxed);
   s.actions_executed = actions_executed_.load(std::memory_order_relaxed);
   s.actions_parked = actions_parked_.load(std::memory_order_relaxed);
+  s.actions_inline = actions_inline_.load(std::memory_order_relaxed);
   return s;
 }
 

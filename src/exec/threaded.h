@@ -1,9 +1,11 @@
 // ThreadedBackend: the real-thread execution backend. One std::thread agent
-// per DORA partition, real MPSC mailboxes, spin-then-park completions, a
-// real group-commit WAL whose committers lead their own flushes. It is a
-// layer under the engine's one transaction protocol — the engine's
-// XctManager, phase runners and ops, the same DORA partition code — and the
-// simulator remains the determinism oracle (see docs/EXECUTION.md).
+// per DORA partition, real MPSC mailboxes, a per-partition execution token
+// that lets a client run an uncontended partition step on its own thread,
+// spin-then-park completions, a real group-commit WAL whose committers lead
+// their own flushes. It is a layer under the engine's one transaction
+// protocol — the engine's XctManager, phase runners and ops, the same DORA
+// partition code — and the simulator remains the determinism oracle (see
+// docs/EXECUTION.md).
 #pragma once
 
 #include <atomic>
@@ -38,12 +40,16 @@ struct ThreadedStats {
   uint64_t durability_failures = 0;
   uint64_t actions_executed = 0;
   uint64_t actions_parked = 0;
+  /// Lock attempts a client ran on its own thread (RunOrDispatch); the
+  /// rest of actions_executed + actions_parked + wait_die_aborts ran on
+  /// an agent. (Releases always run on the client's thread.)
+  uint64_t actions_inline = 0;
 };
 
-/// Drives an Engine on real host threads. Construction wires one
-/// dora::Partition (lock + park tables; the partition's SimQueue is unused)
-/// and one MPSC mailbox per engine partition; Start() spawns the agent
-/// threads.
+/// Drives an Engine on real host threads. Construction wires one lane per
+/// engine partition — a dora::Partition (lock + park tables; the
+/// partition's SimQueue is unused), an MPSC mailbox and an execution token
+/// — and Start() spawns the agent threads.
 ///
 /// Functional behavior matches the simulator backend exactly — same
 /// routing (Mix64 of the sorted first lock key), same wait-die policy via
@@ -90,10 +96,11 @@ class ThreadedBackend {
   /// them, flushes the WAL's tail, and detaches from the engine.
   void Shutdown();
 
-  /// Runs one transaction to commit or abort on the calling thread,
-  /// dispatching phase actions to the partition agents. Thread-safe: any
-  /// number of client threads may call concurrently. `priority` carries
-  /// the wait-die timestamp across retries, as in Engine::Execute.
+  /// Runs one transaction to commit or abort on the calling thread, running
+  /// each phase action here or on its partition's agent (RunOrDispatch).
+  /// Thread-safe: any number of client threads may call concurrently.
+  /// `priority` carries the wait-die timestamp across retries, as in
+  /// Engine::Execute.
   Status Execute(engine::Engine::TxnSpec spec, uint64_t* priority = nullptr);
 
   /// Closed-loop driver: `clients` real threads, warmup wave (not counted),
@@ -147,38 +154,55 @@ class ThreadedBackend {
   /// Mix64-of-hash modulo as dora::Executor — and enqueues it on the
   /// owning partition's mailbox. The action's rvp must be threaded.
   void Dispatch(dora::Action* action);
-  /// Sends release messages to every partition holding locks for `xct` and
-  /// blocks until all have processed them (the Xct may live on the caller's
-  /// stack, so release must not outlive Execute).
+  /// Routes like Dispatch, then runs the partition step (lock, execute,
+  /// arrive) on the calling thread when the partition's mailbox is empty
+  /// and its token is free; otherwise enqueues it as Dispatch does. The
+  /// caller must hold no latch.
+  void RunOrDispatch(dora::Action* action);
+  /// Releases `xct`'s locks on every partition it locked, on the calling
+  /// thread: takes each partition's token in turn (waiting out the step
+  /// its holder is running) and queues the parked actions the release
+  /// woke on that partition's mailbox. The caller must hold no latch.
   void ReleaseTxnLocks(txn::Xct* xct);
 
   engine::Engine* engine() { return engine_; }
   ThreadedWal& wal() { return wal_; }
   uint32_t num_partitions() const {
-    return static_cast<uint32_t>(partitions_.size());
+    return static_cast<uint32_t>(lanes_.size());
   }
   ThreadedStats stats() const;
   /// Total actions ever allocated (steady state: stops growing once the
   /// pool has warmed up — asserted by tests/dispatch_alloc_test.cc).
   size_t actions_allocated() const;
 
-  dora::Partition* partition(uint32_t id) { return partitions_[id].get(); }
-
  private:
-  /// Partition mailbox message. Exactly one meaning:
-  ///  kAction  — run/lock this action;
-  ///  kRelease — release `release_xct`'s locks on this partition, wake
-  ///             parked actions, then arrive at `released`;
-  ///  kStop    — agent poison pill.
+  /// Partition mailbox message: kAction locks and runs `action`; kStop is
+  /// the agent's poison pill.
   struct Msg {
-    enum class Kind : uint8_t { kStop = 0, kAction, kRelease };
+    enum class Kind : uint8_t { kStop = 0, kAction };
     Kind kind = Kind::kStop;
     dora::Action* action = nullptr;
-    txn::Xct* release_xct = nullptr;
-    dora::Rvp* released = nullptr;
   };
 
-  void AgentLoop(uint32_t pid);
+  /// One partition's execution lane. Its partition state — lock and park
+  /// tables, their free lists, PartitionStats — and `woken` are touched
+  /// only by whoever holds `token`: the agent, around each message it
+  /// handles, a client that won try_lock() for one inline step, or a
+  /// client releasing its transaction's locks. Lock order: token ->
+  /// xct->mu -> WAL mutex, and token -> table latch -> disk latch; a
+  /// client takes a token only while it holds no other latch.
+  struct Lane {
+    Lane(sim::Simulator* sim, uint32_t id);
+    dora::Partition part;
+    MpscBlockingQueue<Msg> mailbox;
+    std::mutex token;
+    /// Actions the last release woke; reused, so releasing allocates
+    /// nothing once it has warmed up.
+    std::vector<dora::Action*> woken;
+  };
+
+  Lane& LaneOf(const dora::Action* action);
+  void AgentLoop(Lane& lane);
   void HandleAction(dora::Partition& part, dora::Action* action);
   /// Runs `spec` to a final status for both drivers: a wait-die abort
   /// re-executes up to `max_retries` times under the same pinned priority
@@ -191,8 +215,7 @@ class ThreadedBackend {
   engine::Engine* engine_;
   Config config_;
   ThreadedWal wal_;
-  std::vector<std::unique_ptr<dora::Partition>> partitions_;
-  std::vector<std::unique_ptr<MpscBlockingQueue<Msg>>> queues_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::thread> agents_;
   bool started_ = false;
 
@@ -218,6 +241,7 @@ class ThreadedBackend {
   std::atomic<uint64_t> durability_failures_{0};
   std::atomic<uint64_t> actions_executed_{0};
   std::atomic<uint64_t> actions_parked_{0};
+  std::atomic<uint64_t> actions_inline_{0};
 };
 
 }  // namespace bionicdb::exec

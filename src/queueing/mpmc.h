@@ -71,6 +71,13 @@ class MpmcQueue {
     }
   }
 
+  /// Snapshot: no pushed item is left to pop. A concurrent push or pop
+  /// may change the answer before the caller acts on it.
+  bool Empty() const {
+    return head_.load(std::memory_order_acquire) ==
+           tail_.load(std::memory_order_acquire);
+  }
+
   size_t capacity() const { return cap_; }
 
  private:

@@ -33,13 +33,12 @@ ShardedTatp::ShardedTatp(shard::Cluster* cluster,
   }
 }
 
-Status ShardedTatp::Load() {
+Status ShardedTatp::Load(size_t jobs) {
   // Shards load concurrently: a loader touches only its own engine's
   // tables, pages and SimDisk. The exception is the overlay, whose
   // per-row residency draws come from the simulator's shared RNG, so
   // overlay clusters load one shard at a time, in shard order.
-  const size_t jobs =
-      cluster_->shard(0)->UseOverlay() ? 1 : common::DefaultJobs();
+  if (cluster_->shard(0)->UseOverlay()) jobs = 1;
   std::vector<Status> status(tatp_.size());
   common::ParallelFor(tatp_.size(), jobs,
                       [&](size_t i) { status[i] = tatp_[i]->Load(); });

@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/parallel_for.h"
 #include "common/random.h"
 #include "shard/cluster.h"
 #include "workload/tatp.h"
@@ -48,11 +49,11 @@ class ShardedTatp {
   ShardedTatp(shard::Cluster* cluster, const ShardedTatpConfig& config);
 
   /// Loads every shard's partition (untimed), shards concurrently on up to
-  /// common::DefaultJobs() host threads (overlay clusters in shard order;
+  /// `jobs` host threads (overlay clusters in shard order;
   /// docs/SHARDING.md "Bulk load").
   /// The result is bit-identical to loading the shards one after another;
   /// on failure, returns the status of the lowest-numbered failing shard.
-  Status Load();
+  Status Load(size_t jobs = common::DefaultJobs());
 
   /// Draws the next (possibly distributed) transaction.
   shard::ShardedTxn NextTransaction();

@@ -121,7 +121,8 @@ TEST(DispatchAllocTest, DisabledTracerStaysAllocationFree) {
 }
 
 // The threaded backend's dispatch cycle — freelist acquire, arena lock
-// keys, MPSC mailbox push, agent-side lock/execute, release latch — must
+// keys, MPSC mailbox push, agent-side lock/execute, the release under the
+// partition's token — must
 // be equally allocation-free once the pool, the lock tables, and each
 // agent thread's coroutine-frame pool have warmed up. The reused Xct
 // mirrors the simulated cycle above (Execute's per-transaction Xct owns
@@ -165,6 +166,50 @@ TEST(DispatchAllocTest, ThreadedSteadyStateCycleIsAllocationFree) {
   ExpectSteadyStateAllocFree(steady);
   // The pool stopped growing after warmup (one action in flight at a time).
   EXPECT_LE(allocated, 4u);
+}
+
+// The same cycle through the path Engine::RunPhaseDora takes: with one
+// client every mailbox stays empty and every token free, so
+// RunOrDispatch locks and runs each action on this thread. That path —
+// the token, the reused woken list, the caller's own coroutine-frame
+// pool — allocates nothing either.
+TEST(DispatchAllocTest, ThreadedInlineCycleIsAllocationFree) {
+  sim::Simulator sim;
+  engine::EngineConfig cfg = engine::EngineConfig::Dora();
+  cfg.num_partitions = 4;
+  engine::Engine engine(&sim, cfg);
+  exec::ThreadedBackend backend(&engine, exec::ThreadedBackend::Config{});
+  backend.Start();
+
+  std::vector<std::string> keys;
+  for (int i = 0; i < 64; ++i) keys.push_back("k" + std::to_string(i));
+
+  txn::Xct xct;
+  uint64_t steady = 0;
+  for (uint64_t i = 0; i < kWarmup + kMeasured; ++i) {
+    if (i == kWarmup) steady = bench::AllocCount();
+    xct.id = i + 1;
+    xct.priority = i + 1;
+    dora::Rvp rvp(&sim, 1, /*threaded=*/true);
+    dora::Action* a = backend.AcquireAction();
+    a->xct = &xct;
+    a->rvp = &rvp;
+    a->socket = 0;
+    a->AddLockKey(Slice(keys[i % keys.size()]));
+    a->fn = [](dora::ActionContext&) -> sim::Task<Status> {
+      co_return Status::OK();
+    };
+    backend.RunOrDispatch(a);
+    Status st = sim::RunToCompletion(rvp.Wait());
+    BIONICDB_CHECK(st.ok());
+    backend.ReleaseTxnLocks(&xct);
+  }
+  steady = bench::AllocCount() - steady;
+  const exec::ThreadedStats stats = backend.stats();
+  EXPECT_EQ(stats.actions_executed, kWarmup + kMeasured);
+  EXPECT_EQ(stats.actions_inline, kWarmup + kMeasured);
+  backend.Shutdown();  // CHECKs that every partition's tables are empty
+  ExpectSteadyStateAllocFree(steady);
 }
 
 /// The lock key of cycle `i`, written into `buf`: (i, i * 31) as two

@@ -292,12 +292,14 @@ TEST_P(BackendModeTest, TpccSequentialMatchesSimulator) {
 // order) into a freshly loaded database and demand the same final state.
 // Partition locks are held across commit durability, so log order agrees
 // with the serialization order on every key.
-TEST_P(BackendModeTest, TatpConcurrentMatchesWalReplay) {
+void ExpectConcurrentTatpMatchesWalReplay(const OracleCase& c,
+                                          uint64_t subscribers,
+                                          ThreadedStats* stats) {
   const uint64_t seed = 11;
   Simulator sim;
-  Engine engine(&sim, ConfigFor(GetParam()));
+  Engine engine(&sim, ConfigFor(c));
   TatpConfig wcfg;
-  wcfg.subscribers = 300;
+  wcfg.subscribers = subscribers;
   wcfg.seed = seed;
   TatpWorkload tatp(&engine, wcfg);
   ASSERT_TRUE(tatp.Load().ok());
@@ -313,6 +315,7 @@ TEST_P(BackendModeTest, TatpConcurrentMatchesWalReplay) {
       backend.RunClosedLoop([&] { return tatp.NextTransaction(); }, options);
   backend.Shutdown();  // final flush: DurablePrefix() is the whole stream
   EXPECT_GT(report.committed, 0u);
+  *stats = backend.stats();
 
   const std::string stream = backend.wal().DurablePrefix();
   auto parsed = wal::ParseLogStream(Slice(stream));
@@ -325,7 +328,7 @@ TEST_P(BackendModeTest, TatpConcurrentMatchesWalReplay) {
 
   // Oracle: same seed, load only, then redo.
   Simulator oracle_sim;
-  Engine oracle(&oracle_sim, ConfigFor(GetParam()));
+  Engine oracle(&oracle_sim, ConfigFor(c));
   TatpWorkload oracle_w(&oracle, wcfg);
   ASSERT_TRUE(oracle_w.Load().ok());
   for (const wal::LogRecord& rec : *parsed) {
@@ -349,6 +352,21 @@ TEST_P(BackendModeTest, TatpConcurrentMatchesWalReplay) {
   ASSERT_EQ(live.size(), replayed.size());
   for (size_t t = 0; t < live.size(); ++t) {
     EXPECT_EQ(live[t], replayed[t]) << "table " << t;
+  }
+}
+
+TEST_P(BackendModeTest, TatpConcurrentMatchesWalReplay) {
+  ThreadedStats stats;
+  ExpectConcurrentTatpMatchesWalReplay(GetParam(), 300, &stats);
+}
+
+// The same oracle on 10 subscribers: four clients collide on every key, so
+// inline runs, parks, wait-die deaths and agent hand-offs interleave.
+TEST_P(BackendModeTest, TatpHotKeysMatchWalReplay) {
+  ThreadedStats stats;
+  ExpectConcurrentTatpMatchesWalReplay(GetParam(), 10, &stats);
+  if (ModeOf(GetParam()) != EngineMode::kConventional) {
+    EXPECT_GT(stats.wait_die_aborts + stats.actions_parked, 0u);
   }
 }
 
@@ -695,31 +713,259 @@ TEST(ExecBackendCrashTest, GroupCommitBatchesFlushes) {
   EXPECT_LT(wal.flushes, wal.appends);
 }
 
+/// A one-table engine: keys 0..49 of "vals", each an 8-byte int.
+engine::Table* LoadVals(Engine* engine) {
+  engine::Table* t = engine->CreateTable("vals");
+  for (uint64_t i = 0; i < 50; ++i) {
+    EXPECT_TRUE(engine->LoadRow(t, index::EncodeKeyU64(i), IntRec(0)).ok());
+  }
+  engine->FinalizeLoad();
+  return t;
+}
+
+/// One single-action transaction on key `k` of `t`: an update or a read.
+Engine::TxnSpec OneKeyTxn(engine::Table* t, uint64_t k, bool write) {
+  Engine::TxnStep step;
+  step.table = t;
+  step.keys = {index::EncodeKeyU64(k)};
+  step.read_only = !write;
+  step.fn = [t, write, key = step.keys[0]](
+                Engine::ExecContext& c) -> sim::Task<Status> {
+    if (write) co_return co_await c.engine->Update(c, t, key, IntRec(1));
+    co_return (co_await c.engine->ReadView(c, t, key)).status();
+  };
+  Engine::Phase phase;
+  phase.push_back(std::move(step));
+  Engine::TxnSpec spec;
+  spec.phases.push_back(std::move(phase));
+  return spec;
+}
+
+/// Runs a write of key 7 on its own thread and returns once that writer
+/// waits for its commit to be durable, still holding the key's exclusive
+/// lock for the rest of a long stubbed fsync.
+std::thread StartHeldWrite(ThreadedBackend* backend, engine::Table* t,
+                           Status* status) {
+  std::thread writer(
+      [=] { *status = backend->Execute(OneKeyTxn(t, 7, true)); });
+  while (backend->wal().stats().group_commit_waits == 0) {
+    std::this_thread::yield();
+  }
+  return writer;
+}
+
+// With one client nothing is ever queued, so no agent ever takes a token:
+// every lock attempt runs on the client's own thread.
+TEST(ExecBackendInlineTest, OneClientRunsEveryActionInline) {
+  for (EngineMode mode : {EngineMode::kDora, EngineMode::kBionic}) {
+    SCOPED_TRACE(engine::EngineModeName(mode));
+    Simulator sim;
+    Engine engine(&sim, HarnessEngineConfig(mode));
+    TatpConfig wcfg;
+    wcfg.subscribers = 1000;
+    TatpWorkload tatp(&engine, wcfg);
+    ASSERT_TRUE(tatp.Load().ok());
+    ThreadedBackend::Config bcfg;
+    bcfg.wal.fsync_latency_us = 1;
+    ThreadedBackend backend(&engine, bcfg);
+    backend.Start();
+    ThreadedBackend::RunOptions options;
+    options.clients = 1;
+    options.warmup_txns = 0;
+    options.measured_txns = 2000;
+    backend.RunClosedLoop([&] { return tatp.NextTransaction(); }, options);
+    backend.Shutdown();
+
+    const ThreadedStats s = backend.stats();
+    EXPECT_GT(s.actions_executed, options.measured_txns);
+    EXPECT_EQ(s.actions_parked, 0u);
+    EXPECT_EQ(s.actions_inline, s.actions_executed + s.wait_die_aborts);
+  }
+}
+
+// Park and wake across the two paths. A younger writer holds key 7 through
+// a long fsync; an older reader locks it inline and parks. The writer's
+// release pushes the parked action to the partition's mailbox, and the
+// agent retries it: both commit.
+TEST(ExecBackendInlineTest, InlineReleaseWakesParkedOlderReaderOnAgent) {
+  Watchdog watchdog("InlineReleaseWakesParkedOlderReaderOnAgent",
+                    std::chrono::seconds(120));
+  Simulator sim;
+  Engine engine(&sim, HarnessEngineConfig(EngineMode::kDora));
+  engine::Table* t = LoadVals(&engine);
+  ThreadedBackend::Config bcfg;
+  bcfg.wal.fsync_latency_us = 500000;  // the window the reader parks in
+  ThreadedBackend backend(&engine, bcfg);
+  backend.Start();
+  // Drawn before the writer begins, so the reader is the older one.
+  uint64_t older = engine.xct_manager().DrawPriority();
+  Status wrote;
+  std::thread writer = StartHeldWrite(&backend, t, &wrote);
+  const Status read = backend.Execute(OneKeyTxn(t, 7, false), &older);
+  writer.join();
+  backend.Shutdown();
+
+  EXPECT_TRUE(wrote.ok()) << wrote.message();
+  EXPECT_TRUE(read.ok()) << read.message();
+  const ThreadedStats s = backend.stats();
+  EXPECT_EQ(s.actions_parked, 1u);
+  EXPECT_EQ(s.wait_die_aborts, 0u);
+  EXPECT_EQ(s.actions_executed, 2u);
+  // The writer's action and the reader's first attempt ran inline; the
+  // reader's retry ran on the agent.
+  EXPECT_EQ(s.actions_inline, 2u);
+}
+
+// A release waits out the step its partition is running. The agent holds
+// the partition's token through a long action while a client releases a
+// key an older action is parked on: the release cannot finish before that
+// step does, and the action it wakes retries on the agent.
+TEST(ExecBackendInlineTest, ReleaseWaitsForTheRunningStep) {
+  Watchdog watchdog("ReleaseWaitsForTheRunningStep",
+                    std::chrono::seconds(120));
+  Simulator sim;
+  EngineConfig cfg = EngineConfig::Dora();
+  cfg.num_partitions = 4;
+  Engine engine(&sim, cfg);
+  ThreadedBackend backend(&engine, ThreadedBackend::Config{});
+  backend.Start();
+  auto partition_of = [&](const std::string& key) {
+    return engine.executor()->Route(txn::LockKey(key).hash());
+  };
+  const std::string held = "held";
+  std::string busy = "busy0";
+  for (int i = 1; partition_of(busy) != partition_of(held); ++i) {
+    busy = "busy" + std::to_string(i);
+  }
+
+  std::atomic<bool> running{false};
+  std::atomic<bool> go{false};
+  // One single-key action of `xct`; a `spin` body holds its partition
+  // until `go`.
+  auto action = [&](txn::Xct* xct, dora::Rvp* rvp, const std::string& key,
+                    bool spin) {
+    dora::Action* a = backend.AcquireAction();
+    a->xct = xct;
+    a->rvp = rvp;
+    a->AddLockKey(Slice(key));
+    if (spin) {
+      a->fn = [&running, &go](dora::ActionContext&) -> sim::Task<Status> {
+        running.store(true);
+        while (!go.load()) std::this_thread::yield();
+        co_return Status::OK();
+      };
+    } else {
+      a->fn = [](dora::ActionContext&) -> sim::Task<Status> {
+        co_return Status::OK();
+      };
+    }
+    return a;
+  };
+  txn::Xct older;
+  older.id = older.priority = 1;
+  txn::Xct holder;
+  holder.id = holder.priority = 2;
+  txn::Xct spinner;
+  spinner.id = spinner.priority = 3;
+  dora::Rvp held_rvp(&sim, 1, /*threaded=*/true);
+  dora::Rvp older_rvp(&sim, 1, /*threaded=*/true);
+  dora::Rvp spin_rvp(&sim, 1, /*threaded=*/true);
+
+  // The younger holder locks `held` inline; the older action parks on it
+  // through the agent; then the agent runs the spinner.
+  backend.RunOrDispatch(action(&holder, &held_rvp, held, false));
+  ASSERT_TRUE(sim::RunToCompletion(held_rvp.Wait()).ok());
+  backend.Dispatch(action(&older, &older_rvp, held, false));
+  while (backend.stats().actions_parked == 0) std::this_thread::yield();
+  backend.Dispatch(action(&spinner, &spin_rvp, busy, true));
+  while (!running.load()) std::this_thread::yield();
+
+  std::atomic<bool> released{false};
+  std::thread releaser([&] {
+    backend.ReleaseTxnLocks(&holder);
+    released.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(released.load());
+  go.store(true);
+  releaser.join();
+  EXPECT_TRUE(sim::RunToCompletion(spin_rvp.Wait()).ok());
+  EXPECT_TRUE(sim::RunToCompletion(older_rvp.Wait()).ok());
+  backend.ReleaseTxnLocks(&older);
+  backend.ReleaseTxnLocks(&spinner);
+  backend.Shutdown();  // CHECKs that every partition's tables are empty
+
+  const ThreadedStats s = backend.stats();
+  EXPECT_EQ(s.actions_executed, 3u);
+  EXPECT_EQ(s.actions_parked, 1u);
+  EXPECT_EQ(s.wait_die_aborts, 0u);
+  // Only the holder's ran inline; the woken retry ran on the agent.
+  EXPECT_EQ(s.actions_inline, 1u);
+}
+
+// The reverse: a younger reader that meets an older holder inline dies at
+// once (wait-die) and commits when it retries after the holder released.
+TEST(ExecBackendInlineTest, YoungerInlineReaderDiesAndRetries) {
+  Watchdog watchdog("YoungerInlineReaderDiesAndRetries",
+                    std::chrono::seconds(120));
+  Simulator sim;
+  Engine engine(&sim, HarnessEngineConfig(EngineMode::kDora));
+  engine::Table* t = LoadVals(&engine);
+  ThreadedBackend::Config bcfg;
+  bcfg.wal.fsync_latency_us = 200000;
+  ThreadedBackend backend(&engine, bcfg);
+  backend.Start();
+  Status wrote;
+  std::thread writer = StartHeldWrite(&backend, t, &wrote);
+  uint64_t younger = 0;  // drawn by Begin, after the writer's
+  const Status died = backend.Execute(OneKeyTxn(t, 7, false), &younger);
+  writer.join();
+  const Status retried = backend.Execute(OneKeyTxn(t, 7, false), &younger);
+  backend.Shutdown();
+
+  EXPECT_TRUE(wrote.ok()) << wrote.message();
+  EXPECT_TRUE(died.IsAborted()) << died.message();
+  EXPECT_TRUE(retried.ok()) << retried.message();
+  const ThreadedStats s = backend.stats();
+  EXPECT_EQ(s.wait_die_aborts, 1u);
+  EXPECT_EQ(s.actions_parked, 0u);
+  EXPECT_EQ(s.actions_executed, 2u);
+  EXPECT_EQ(s.actions_inline, 3u);
+}
+
 // Mailbox lost-wakeup regression. Push publishes through the ring's
 // release store and then reads `sleepers_`; without a fence between the
-// two (and after Pop's registration) x86 may reorder them, the agent
-// sleeps with an item in its mailbox and a lone client waits forever.
-// Without the fences this shape hung about half of its runs.
+// two (and after Pop's registration) x86 may reorder them, the consumer
+// sleeps with an item in its mailbox and both sides wait forever. A client
+// and an agent play request/reply ping-pong over two mailboxes, and the
+// client spaces each request by about the agent's spin budget, so it lands
+// while the agent parks — the moment the fences guard. The mailboxes are
+// as deep as the backend's, so each push writes a slot line the consumer
+// touched thousands of pushes ago, and the store lingers long enough to
+// be overtaken. Without Push's fence this hung 9 of 10 runs.
 TEST(ExecBackendMailboxTest, OneClientNeverLosesAWakeup) {
   Watchdog watchdog("OneClientNeverLosesAWakeup (lost mailbox wakeup?)",
                     std::chrono::seconds(240));
-  Simulator sim;
-  Engine engine(&sim, EngineConfig::Dora());  // 6 partitions
-  TatpConfig wcfg;
-  wcfg.subscribers = 10000;
-  TatpWorkload tatp(&engine, wcfg);
-  ASSERT_TRUE(tatp.Load().ok());
-  ThreadedBackend backend(&engine, ThreadedBackend::Config{});
-  backend.Start();
-  ThreadedBackend::RunOptions options;
-  options.clients = 1;
-  options.warmup_txns = 0;
-  options.measured_txns = 36000;
-  ThreadedBackend::RunReport report =
-      backend.RunClosedLoop([&] { return tatp.NextTransaction(); }, options);
-  backend.Shutdown();
-  EXPECT_EQ(backend.stats().started, options.measured_txns);
-  EXPECT_GT(report.committed, 0u);
+  constexpr int kRounds = 40000;
+  MpscBlockingQueue<int> requests(4096);
+  MpscBlockingQueue<int> replies(4096);
+  std::thread agent([&] {
+    for (;;) {
+      const int request = requests.Pop();
+      replies.Push(request);
+      if (request < 0) return;
+    }
+  });
+  for (int round = 0; round < kRounds; ++round) {
+    // Sweep the push across the agent's switch from spinning to parking.
+    const int spacing = queueing::kSpinYieldsBeforePark - 16 + round % 32;
+    for (int i = 0; i < spacing; ++i) std::this_thread::yield();
+    requests.Push(round);
+    EXPECT_EQ(replies.Pop(), round);
+  }
+  requests.Push(-1);
+  EXPECT_EQ(replies.Pop(), -1);
+  agent.join();
 }
 
 // The client may destroy its stack completion the moment Wait() returns,

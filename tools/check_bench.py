@@ -33,15 +33,18 @@ dimensions, selected with --backend:
             txn_per_sec is deliberately NOT gated — varying by machine
             is the point of the backend. What must hold anywhere:
               * every measured transaction commits (committed == ops);
-              * TATP wal_appends identical across thread counts on the
-                same seed (deterministic committed write-set — the
-                wall-clock analogue of the sim pin);
+              * TATP committed_records (records of committed
+                transactions) identical across thread counts on the same
+                seed (deterministic committed write-set — the wall-clock
+                analogue of the sim pin);
               * group commit batches: every flush has a waiter
                 (wal_flushes <= wal_group_commit_waits, so appends never
                 start one), and the flush count shrinks from t1 to t8;
               * machine-relative scaling: t8/t1 txn_per_sec >= 1.25 on
                 ANY host (group-commit overlap alone guarantees it with
-                the fsync stub), >= 1.6 when the host has 2+ cores.
+                the fsync stub), >= 1.6 when the host has 2+ cores;
+              * tatp_threaded_t1 ran every lock attempt inline (one
+                client queues nothing).
 
   all       Both (the default).
 
@@ -200,18 +203,21 @@ def check_threaded(wallclock):
             fail(f"{name}: non-positive txn_per_sec")
     print(f"ok: all {len(rows)} threaded rows committed every measured txn")
 
-    # 4. Determinism of the committed write-set: TATP has zero aborted
-    # attempts at these contention levels, so the committed WAL must
-    # contain the same record count regardless of interleaving.
-    appends = {n: rows[f"tatp_threaded_t{n}"]["wal_appends"]
+    # 4. Determinism of the committed write-set: every thread count runs
+    # the same transaction stream, so the log must hold the same number of
+    # records of committed transactions regardless of interleaving. (Not
+    # wal_appends: an attempt that dies after an earlier action of it
+    # wrote leaves records of its own.)
+    records = {n: rows[f"tatp_threaded_t{n}"]["committed_records"]
                for n in TATP_THREAD_SWEEP}
-    if len(set(appends.values())) != 1:
+    if len(set(records.values())) != 1:
         fail(
-            f"TATP wal_appends varies across thread counts: {appends} — "
-            "the committed write-set depends on the interleaving"
+            f"TATP committed_records varies across thread counts: "
+            f"{records} — the committed write-set depends on the "
+            "interleaving"
         )
-    print(f"ok: TATP wal_appends identical across threads "
-          f"({appends[1]:.0f} records)")
+    print(f"ok: TATP committed write-set identical across threads "
+          f"({records[1]:.0f} records)")
 
     # 5. Group commit must actually batch: only a waiting committer leads
     # a flush (so every fsync has a waiter, and appends never start one),
@@ -248,6 +254,17 @@ def check_threaded(wallclock):
         )
     print(f"ok: threaded TATP t{TATP_THREAD_SWEEP[-1]}/t1 scaling "
           f"{ratio:.2f}x (floor {floor:.2f}x, host_cores={host_cores:.0f})")
+
+    # 7. One client never queues anything behind an agent, so it runs every
+    # lock attempt on its own thread.
+    if t1["actions_inline"] != t1["action_attempts"]:
+        fail(
+            f"tatp_threaded_t1 ran {t1['actions_inline']:.0f} of "
+            f"{t1['action_attempts']:.0f} lock attempts inline; with one "
+            "client every one runs on its thread"
+        )
+    print(f"ok: tatp_threaded_t1 ran all {t1['action_attempts']:.0f} lock "
+          f"attempts inline")
 
 
 def check_overload(overload):
