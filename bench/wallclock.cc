@@ -241,12 +241,6 @@ void AddThreadedExtras(Row* m, int threads,
     committed_records += committed.count(r.txn_id);
   }
   m->Add("committed_records", static_cast<double>(committed_records));
-  // How much ran on the clients' own threads (warmup included): every
-  // lock attempt ends executed, parked or dead.
-  m->Add("action_attempts",
-         static_cast<double>(stats.actions_executed + stats.actions_parked +
-                             stats.wait_die_aborts));
-  m->Add("actions_inline", static_cast<double>(stats.actions_inline));
 }
 
 /// TATP on the real-thread backend (exec::ThreadedBackend), closed loop

@@ -4,9 +4,10 @@
 // A transaction is decomposed into actions, each touching data of exactly
 // one logical partition. Actions of one phase run in parallel on their
 // partitions and join at a rendezvous point (RVP); the next phase launches
-// when the RVP fires. At most one agent thread ever touches a partition's
-// data, so actions need no latches — only cheap partition-local locks held
-// until commit.
+// when the RVP fires. At most one thread at a time touches a partition's
+// data — its agent on the simulator, the holder of the partition's token on
+// real threads — so actions need no latches, only cheap partition-local
+// locks held until commit.
 //
 // Actions are pooled (ActionPool) and hold their lock keys as fixed-width
 // txn::LockKeys in a per-action vector that keeps its capacity across
@@ -42,18 +43,21 @@ class Partition;
 /// last arrives. The first non-OK status wins.
 ///
 /// On the simulator the driver suspends on a sim::Completion. On real
-/// threads (`threaded`, exec::ThreadedBackend) agents arrive from their own
-/// threads and Wait() blocks the driver's thread without suspending: it
-/// spins for kSpinYieldsBeforePark yields, then parks on the condvar, so a
-/// short phase hands control back without a futex round trip.
+/// threads (`threaded`, exec::ThreadedBackend) an action arrives from the
+/// client thread that ran its step — usually the driver's own, but a parked
+/// action arrives from the client whose release woke it — and Wait() blocks
+/// the driver's thread without suspending: it spins for
+/// kSpinYieldsBeforePark yields, then parks on the condvar, so a short
+/// phase hands control back without a futex round trip.
 ///
 /// The waiter may destroy the RVP as soon as Wait() returns (it lives on
 /// the driver's stack or frame). A threaded arriver touches it only up to
 /// its decrement — unless that decrement is the last one and finds the
 /// waiter parked, in which case the arriver wakes it under the mutex the
 /// waiter must reacquire before it can return. The acq_rel decrement also
-/// carries the happens-before edge from each agent's writes (locks recorded
-/// on the Xct, undo entries, table mutations) to the driver past Wait().
+/// carries the happens-before edge from each arriver's writes (locks
+/// recorded on the Xct, undo entries, table mutations) to the driver past
+/// Wait().
 class Rvp {
  public:
   Rvp(sim::Simulator* sim, int count, bool threaded = false)
@@ -63,7 +67,7 @@ class Rvp {
   }
   BIONICDB_DISALLOW_COPY_AND_ASSIGN(Rvp);
 
-  /// Called by the executing agent when an action finishes.
+  /// Called by whoever ran the action's step when it finishes.
   void Arrive(Status st = Status::OK()) {
     // Read before the decrement: past it, a threaded waiter may already
     // have destroyed the RVP.
@@ -122,7 +126,8 @@ class Rvp {
   bool woken_ = false;
 };
 
-/// Execution context handed to an action body by the partition agent.
+/// Execution context handed to an action body by whoever runs its
+/// partition step.
 struct ActionContext {
   txn::Xct* xct = nullptr;
   Partition* partition = nullptr;

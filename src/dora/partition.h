@@ -30,8 +30,9 @@
 namespace bionicdb::dora {
 
 struct PartitionStats {
-  uint64_t actions_executed = 0;
-  uint64_t lock_conflicts = 0;  ///< Actions parked at least once.
+  /// Lock attempts that parked; a woken action that parks again counts
+  /// again.
+  uint64_t lock_conflicts = 0;
   uint64_t wait_die_aborts = 0;
 };
 
@@ -65,7 +66,6 @@ class Partition {
   void ReleaseLocks(txn::Xct* xct, std::vector<Action*>* ready);
 
   const PartitionStats& stats() const { return stats_; }
-  PartitionStats& mutable_stats() { return stats_; }
 
   AgentState agent_state() const { return agent_state_; }
   void set_agent_state(AgentState s) { agent_state_ = s; }

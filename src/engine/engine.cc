@@ -1568,7 +1568,7 @@ sim::Task<Status> Engine::RunPhaseDora(Phase& phase, ExecContext& ctx) {
       co_return co_await pstep->fn(ectx);
     };
     if (threaded_) {
-      threaded_->RunOrDispatch(action);
+      threaded_->Run(action);
       continue;
     }
     // Dispatch cost (routing + enqueue + cross-socket hop) attributes to

@@ -391,7 +391,8 @@ class Engine {
   sim::Task<void> ReleaseAllLocks(txn::Xct* xct);
 
   // The phase runners of both backends. On threads they never suspend:
-  // actions go to exec::ThreadedBackend's agents and the RVP blocks.
+  // each action runs on the caller's thread under its partition's token
+  // (exec::ThreadedBackend::Run), and the RVP blocks.
   sim::Task<Status> RunPhaseConventional(Phase& phase, ExecContext& ctx);
   sim::Task<Status> RunPhaseDora(Phase& phase, ExecContext& ctx);
   sim::Task<Status> RunAllPhases(TxnSpec& spec, ExecContext& ctx);
@@ -404,7 +405,7 @@ class Engine {
 
   // ---- threaded-backend latches and device bypass ------------------------
   // Each op has one body; on real threads the cost helpers return at once,
-  // so the body runs synchronously on the agent thread that resumes it.
+  // so the body runs synchronously on the client thread that runs its step.
   // Physical structures are latched per table (and the SimDisk page map by
   // disk_mu_); logical row conflicts are excluded by the partition-local
   // locks (or the conventional-mode global mutex), as in the simulator.

@@ -5,20 +5,37 @@
 #include <cmath>
 #include <condition_variable>
 #include <deque>
+#include <thread>
 
 #include "common/random.h"
+#include "queueing/scheduler.h"
 
 namespace bionicdb::exec {
 
 namespace {
-/// Partition mailbox depth (actions in flight).
-constexpr size_t kMailboxCapacity = 4096;
+
+/// Waits for a partition's token. Waiting is safe: the caller holds no
+/// latch, and the holder runs one step, or one release and the steps it
+/// woke, none of which waits on a partition lock. It spins before it
+/// parks, like every wait here, so a short step costs no futex wake-up.
+std::unique_lock<std::mutex> TakeToken(std::mutex& token) {
+  std::unique_lock<std::mutex> lock(token, std::defer_lock);
+  for (int spin = 0; !lock.try_lock(); ++spin) {
+    if (spin == queueing::kSpinYieldsBeforePark) {
+      lock.lock();
+      break;
+    }
+    std::this_thread::yield();
+  }
+  return lock;
+}
+
 }  // namespace
 
 ThreadedBackend::Lane::Lane(sim::Simulator* sim, uint32_t id)
     // The partition's embedded SimQueue is unused here (capacity 2, the
     // minimum); only its lock and park tables are exercised.
-    : part(sim, id, /*queue_capacity=*/2), mailbox(kMailboxCapacity) {}
+    : part(sim, id, /*queue_capacity=*/2) {}
 
 ThreadedBackend::ThreadedBackend(engine::Engine* engine, const Config& config)
     : engine_(engine), config_(config), wal_(config.wal),
@@ -42,18 +59,13 @@ void ThreadedBackend::Start() {
   BIONICDB_CHECK(!started_);
   started_ = true;
   engine_->AttachThreadedBackend(this);
-  for (auto& lane : lanes_) {
-    agents_.emplace_back([this, l = lane.get()] { AgentLoop(*l); });
-  }
 }
 
 void ThreadedBackend::Shutdown() {
   if (!started_) return;
-  for (auto& lane : lanes_) lane->mailbox.Push(Msg{});  // kStop
-  for (auto& t : agents_) t.join();
-  agents_.clear();
   // Every transaction has released its locks, so the tables are empty.
   for (const auto& lane : lanes_) {
+    std::lock_guard<std::mutex> token(lane->token);
     const dora::Partition& p = lane->part;
     BIONICDB_CHECK_MSG(p.lock_entries() == 0 && p.parked_entries() == 0,
                        "shutdown with %zu locked and %zu parked keys in "
@@ -65,15 +77,6 @@ void ThreadedBackend::Shutdown() {
   started_ = false;
 }
 
-void ThreadedBackend::AgentLoop(Lane& lane) {
-  for (;;) {
-    const Msg msg = lane.mailbox.Pop();
-    if (msg.kind == Msg::Kind::kStop) break;
-    std::lock_guard<std::mutex> token(lane.token);
-    HandleAction(lane.part, msg.action);
-  }
-}
-
 void ThreadedBackend::HandleAction(dora::Partition& part,
                                    dora::Action* action) {
   dora::LockOutcome lock;
@@ -82,12 +85,11 @@ void ThreadedBackend::HandleAction(dora::Partition& part,
     std::lock_guard<std::mutex> lk(action->xct->mu);
     lock = part.TryLockAll(action);
   }
+  // TryLockAll counted a park or a death in the partition's stats.
   if (lock == dora::LockOutcome::kParked) {
-    actions_parked_.fetch_add(1, std::memory_order_relaxed);
-    return;  // re-surfaces when a release on this partition wakes it
+    return;  // runs again when a release on this partition wakes it
   }
   if (lock == dora::LockOutcome::kDie) {
-    wait_die_aborts_.fetch_add(1, std::memory_order_relaxed);
     dora::Rvp* rvp = action->rvp;
     ReleaseAction(action);
     rvp->Arrive(Status::Aborted("wait-die on partition-local lock"));
@@ -116,23 +118,9 @@ ThreadedBackend::Lane& ThreadedBackend::LaneOf(const dora::Action* action) {
   return *lanes_[engine_->executor()->Route(action->lock_key(0).hash())];
 }
 
-void ThreadedBackend::Dispatch(dora::Action* action) {
-  LaneOf(action).mailbox.Push(
-      Msg{.kind = Msg::Kind::kAction, .action = action});
-}
-
-void ThreadedBackend::RunOrDispatch(dora::Action* action) {
+void ThreadedBackend::Run(dora::Action* action) {
   Lane& lane = LaneOf(action);
-  // An empty mailbox means the step overtakes no queued work, woken
-  // actions included. The check is a snapshot: racing the agent's pop, at
-  // most the message it popped is overtaken. Correctness rests on the
-  // token alone.
-  if (!lane.mailbox.Empty() || !lane.token.try_lock()) {
-    Dispatch(action);
-    return;
-  }
-  std::lock_guard<std::mutex> token(lane.token, std::adopt_lock);
-  actions_inline_.fetch_add(1, std::memory_order_relaxed);
+  std::unique_lock<std::mutex> token = TakeToken(lane.token);
   HandleAction(lane.part, action);
 }
 
@@ -145,19 +133,7 @@ void ThreadedBackend::ReleaseTxnLocks(txn::Xct* xct) {
   for (const auto& [pid, key] : xct->held_locks) mask |= uint64_t{1} << pid;
   for (; mask != 0; mask &= mask - 1) {
     Lane& lane = *lanes_[std::countr_zero(mask)];
-    // Waiting is safe: this client holds no latch, and the token's holder
-    // runs one partition step, which never waits on a partition lock. It
-    // spins before it parks, like every wait here, so a short step costs
-    // no futex wake-up. No mailbox check either: releasing early only
-    // lets queued actions find the locks free.
-    std::unique_lock<std::mutex> token(lane.token, std::defer_lock);
-    for (int spin = 0; !token.try_lock(); ++spin) {
-      if (spin == queueing::kSpinYieldsBeforePark) {
-        token.lock();
-        break;
-      }
-      std::this_thread::yield();
-    }
+    std::unique_lock<std::mutex> token = TakeToken(lane.token);
     lane.woken.clear();
     {
       // The transaction's mutex guards its held_locks list, which
@@ -165,12 +141,10 @@ void ThreadedBackend::ReleaseTxnLocks(txn::Xct* xct) {
       std::lock_guard<std::mutex> lk(xct->mu);
       lane.part.ReleaseLocks(xct, &lane.woken);
     }
-    // A woken action retries its locks through the agent, behind whatever
-    // is queued by then. (The agent pops before it takes the token, so
-    // this push never waits on the token this client holds.)
-    for (dora::Action* a : lane.woken) {
-      lane.mailbox.Push(Msg{.kind = Msg::Kind::kAction, .action = a});
-    }
+    // Each woken action retries its locks here, before the token drops,
+    // so no later step can take a lock it was waiting for. A retry only
+    // runs, parks or dies: it wakes nothing, so `woken` stays as it is.
+    for (dora::Action* a : lane.woken) HandleAction(lane.part, a);
   }
 }
 
@@ -466,13 +440,16 @@ ThreadedStats ThreadedBackend::stats() const {
   s.commits = commits_.load(std::memory_order_relaxed);
   s.read_only_commits = read_only_commits_.load(std::memory_order_relaxed);
   s.aborts = aborts_.load(std::memory_order_relaxed);
-  s.wait_die_aborts = wait_die_aborts_.load(std::memory_order_relaxed);
   s.io_errors = io_errors_.load(std::memory_order_relaxed);
   s.durability_failures =
       durability_failures_.load(std::memory_order_relaxed);
   s.actions_executed = actions_executed_.load(std::memory_order_relaxed);
-  s.actions_parked = actions_parked_.load(std::memory_order_relaxed);
-  s.actions_inline = actions_inline_.load(std::memory_order_relaxed);
+  for (const auto& lane : lanes_) {
+    std::lock_guard<std::mutex> token(lane->token);
+    const dora::PartitionStats& ps = lane->part.stats();
+    s.actions_parked += ps.lock_conflicts;
+    s.wait_die_aborts += ps.wait_die_aborts;
+  }
   return s;
 }
 

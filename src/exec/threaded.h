@@ -1,11 +1,11 @@
-// ThreadedBackend: the real-thread execution backend. One std::thread agent
-// per DORA partition, real MPSC mailboxes, a per-partition execution token
-// that lets a client run an uncontended partition step on its own thread,
-// spin-then-park completions, a real group-commit WAL whose committers lead
-// their own flushes. It is a layer under the engine's one transaction
-// protocol — the engine's XctManager, phase runners and ops, the same DORA
-// partition code — and the simulator remains the determinism oracle (see
-// docs/EXECUTION.md).
+// ThreadedBackend: the real-thread execution backend. Each DORA partition
+// has an execution token, and a partition step runs on the client thread
+// that holds it: the client that routed the action there, or the client
+// whose release woke it. Completions spin before they park, and a real
+// group-commit WAL has its committers lead their own flushes. It is a
+// layer under the engine's one transaction protocol — the engine's
+// XctManager, phase runners and ops, the same DORA partition code — and
+// the simulator remains the determinism oracle (see docs/EXECUTION.md).
 #pragma once
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/histogram.h"
@@ -22,7 +21,6 @@
 #include "dora/action.h"
 #include "dora/partition.h"
 #include "engine/engine.h"
-#include "exec/mpsc_queue.h"
 #include "exec/threaded_wal.h"
 #include "queueing/mpmc.h"
 
@@ -35,21 +33,22 @@ struct ThreadedStats {
   uint64_t commits = 0;
   uint64_t read_only_commits = 0;
   uint64_t aborts = 0;
+  /// Lock attempts that died (wait-die), summed over the partitions'
+  /// dora::PartitionStats.
   uint64_t wait_die_aborts = 0;
   uint64_t io_errors = 0;
   uint64_t durability_failures = 0;
   uint64_t actions_executed = 0;
+  /// Lock attempts that parked, summed likewise (every park counts, so a
+  /// woken action that parks again counts twice).
   uint64_t actions_parked = 0;
-  /// Lock attempts a client ran on its own thread (RunOrDispatch); the
-  /// rest of actions_executed + actions_parked + wait_die_aborts ran on
-  /// an agent. (Releases always run on the client's thread.)
-  uint64_t actions_inline = 0;
 };
 
 /// Drives an Engine on real host threads. Construction wires one lane per
 /// engine partition — a dora::Partition (lock + park tables; the
-/// partition's SimQueue is unused), an MPSC mailbox and an execution token
-/// — and Start() spawns the agent threads.
+/// partition's SimQueue is unused) and the execution token that admits one
+/// thread at a time. The backend starts no thread of its own: every
+/// partition step runs on a client thread (Execute's caller).
 ///
 /// Functional behavior matches the simulator backend exactly — same
 /// routing (Mix64 of the sorted first lock key), same wait-die policy via
@@ -86,18 +85,17 @@ class ThreadedBackend {
   ~ThreadedBackend();
   BIONICDB_DISALLOW_COPY_AND_ASSIGN(ThreadedBackend);
 
-  /// Spawns the partition agents and attaches this backend to the engine
-  /// (its ops then skip cost charges and simulated devices, latch shared
-  /// structures, and its XctManager logs to this backend's WAL). Call
-  /// after tables are created and loaded.
+  /// Attaches this backend to the engine (its ops then skip cost charges
+  /// and simulated devices, latch shared structures, and its XctManager
+  /// logs to this backend's WAL). Call after tables are created and loaded.
   void Start();
 
-  /// Drains agents (all submitted transactions must have completed), joins
-  /// them, flushes the WAL's tail, and detaches from the engine.
+  /// Checks that every transaction released its locks (every Execute must
+  /// have returned), flushes the WAL's tail, and detaches from the engine.
   void Shutdown();
 
   /// Runs one transaction to commit or abort on the calling thread, running
-  /// each phase action here or on its partition's agent (RunOrDispatch).
+  /// each phase action here under its partition's token (Run).
   /// Thread-safe: any number of client threads may call concurrently.
   /// `priority` carries the wait-die timestamp across retries, as in
   /// Engine::Execute.
@@ -143,7 +141,7 @@ class ThreadedBackend {
       const std::function<engine::Engine::TxnSpec()>& next,
       const OpenLoopOptions& options);
 
-  // Dispatch primitives (the threaded analogue of dora::Executor's public
+  // Step primitives (the threaded analogue of dora::Executor's public
   // surface; exercised directly by tests/dispatch_alloc_test.cc).
   /// Hands out a pooled action: lock-free freelist fast path, allocation
   /// only while the pool warms up.
@@ -151,18 +149,16 @@ class ThreadedBackend {
   /// Resets the action and returns it to the freelist.
   void ReleaseAction(dora::Action* action);
   /// Routes by the action's first (sorted) lock key — the same
-  /// Mix64-of-hash modulo as dora::Executor — and enqueues it on the
-  /// owning partition's mailbox. The action's rvp must be threaded.
-  void Dispatch(dora::Action* action);
-  /// Routes like Dispatch, then runs the partition step (lock, execute,
-  /// arrive) on the calling thread when the partition's mailbox is empty
-  /// and its token is free; otherwise enqueues it as Dispatch does. The
+  /// Mix64-of-hash modulo as dora::Executor — waits for the owning
+  /// partition's token and runs the partition step (lock, execute, arrive)
+  /// on the calling thread. A step that parks returns at once; the release
+  /// that wakes it runs it. The action's rvp must be threaded, and the
   /// caller must hold no latch.
-  void RunOrDispatch(dora::Action* action);
+  void Run(dora::Action* action);
   /// Releases `xct`'s locks on every partition it locked, on the calling
-  /// thread: takes each partition's token in turn (waiting out the step
-  /// its holder is running) and queues the parked actions the release
-  /// woke on that partition's mailbox. The caller must hold no latch.
+  /// thread: takes each partition's token in turn (waiting out the step its
+  /// holder is running) and, before dropping it, runs the parked actions
+  /// the release woke. The caller must hold no latch.
   void ReleaseTxnLocks(txn::Xct* xct);
 
   engine::Engine* engine() { return engine_; }
@@ -170,31 +166,22 @@ class ThreadedBackend {
   uint32_t num_partitions() const {
     return static_cast<uint32_t>(lanes_.size());
   }
+  /// Takes each partition's token in turn; the caller must hold none.
   ThreadedStats stats() const;
   /// Total actions ever allocated (steady state: stops growing once the
   /// pool has warmed up — asserted by tests/dispatch_alloc_test.cc).
   size_t actions_allocated() const;
 
  private:
-  /// Partition mailbox message: kAction locks and runs `action`; kStop is
-  /// the agent's poison pill.
-  struct Msg {
-    enum class Kind : uint8_t { kStop = 0, kAction };
-    Kind kind = Kind::kStop;
-    dora::Action* action = nullptr;
-  };
-
-  /// One partition's execution lane. Its partition state — lock and park
-  /// tables, their free lists, PartitionStats — and `woken` are touched
-  /// only by whoever holds `token`: the agent, around each message it
-  /// handles, a client that won try_lock() for one inline step, or a
-  /// client releasing its transaction's locks. Lock order: token ->
-  /// xct->mu -> WAL mutex, and token -> table latch -> disk latch; a
-  /// client takes a token only while it holds no other latch.
+  /// One partition. Its partition state — lock and park tables, their free
+  /// lists, PartitionStats — and `woken` are touched only by whoever holds
+  /// `token`: a client running one step (Run) or releasing its
+  /// transaction's locks (ReleaseTxnLocks). Lock order: token -> xct->mu ->
+  /// WAL mutex, and token -> table latch -> disk latch; a client takes a
+  /// token only while it holds no other latch, and never holds two.
   struct Lane {
     Lane(sim::Simulator* sim, uint32_t id);
     dora::Partition part;
-    MpscBlockingQueue<Msg> mailbox;
     std::mutex token;
     /// Actions the last release woke; reused, so releasing allocates
     /// nothing once it has warmed up.
@@ -202,7 +189,8 @@ class ThreadedBackend {
   };
 
   Lane& LaneOf(const dora::Action* action);
-  void AgentLoop(Lane& lane);
+  /// The one partition step: lock, then execute and arrive, or park, or
+  /// die. The caller holds the partition's token.
   void HandleAction(dora::Partition& part, dora::Action* action);
   /// Runs `spec` to a final status for both drivers: a wait-die abort
   /// re-executes up to `max_retries` times under the same pinned priority
@@ -216,7 +204,6 @@ class ThreadedBackend {
   Config config_;
   ThreadedWal wal_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::thread> agents_;
   bool started_ = false;
 
   /// Thread-safe action freelist: lock-free ring fast path, fallback
@@ -231,17 +218,15 @@ class ThreadedBackend {
   /// Draws from the workload generator in RunClosedLoop.
   std::mutex next_mu_;
 
-  // Stats as atomics (snapshotted by stats()).
+  // Stats as atomics (snapshotted by stats(); parks and deaths live in
+  // each partition's PartitionStats).
   std::atomic<uint64_t> started_txns_{0};
   std::atomic<uint64_t> commits_{0};
   std::atomic<uint64_t> read_only_commits_{0};
   std::atomic<uint64_t> aborts_{0};
-  std::atomic<uint64_t> wait_die_aborts_{0};
   std::atomic<uint64_t> io_errors_{0};
   std::atomic<uint64_t> durability_failures_{0};
   std::atomic<uint64_t> actions_executed_{0};
-  std::atomic<uint64_t> actions_parked_{0};
-  std::atomic<uint64_t> actions_inline_{0};
 };
 
 }  // namespace bionicdb::exec

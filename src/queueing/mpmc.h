@@ -1,6 +1,6 @@
 // MpmcQueue: bounded multi-producer multi-consumer queue (Vyukov-style
-// sequence-number slots). Used by the conventional engine's shared work
-// queue; thread-safe under real concurrency.
+// sequence-number slots). The threaded backend's action pool keeps its
+// freelist in one; thread-safe under real concurrency.
 #pragma once
 
 #include <atomic>
@@ -69,13 +69,6 @@ class MpmcQueue {
         pos = tail_.load(std::memory_order_relaxed);
       }
     }
-  }
-
-  /// Snapshot: no pushed item is left to pop. A concurrent push or pop
-  /// may change the answer before the caller acts on it.
-  bool Empty() const {
-    return head_.load(std::memory_order_acquire) ==
-           tail_.load(std::memory_order_acquire);
   }
 
   size_t capacity() const { return cap_; }

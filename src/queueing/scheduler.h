@@ -13,11 +13,11 @@
 
 namespace bionicdb::queueing {
 
-/// Yields a waiting real thread spends polling before it parks on a
-/// condvar — the threaded backend's spin-then-doze. Shared by its mailbox's
-/// Pop and dora::Rvp::Wait: parking an idle agent (or a client between
-/// phases) too early turns every hand-off into a futex wake and stalls the
-/// chain of queues behind it (paper §5.5).
+/// Yields a waiting real thread spends polling before it parks — the
+/// threaded backend's spin-then-doze. Shared by its wait for a partition's
+/// token and dora::Rvp::Wait: parking a client too early turns every
+/// hand-off into a futex wake and stalls the chain of waiters behind it
+/// (paper §5.5).
 inline constexpr int kSpinYieldsBeforePark = 64;
 
 struct DozePolicy {

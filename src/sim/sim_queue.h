@@ -19,8 +19,8 @@ namespace bionicdb::sim {
 /// Storage is a fixed ring buffer sized once at construction, so the
 /// steady-state push/pop cycle never touches the allocator. The simulator
 /// is single-threaded, so the ring is a plain non-atomic FIFO — no fences
-/// on the hot path; the semaphores serialize logical access. For real
-/// cross-thread queues see exec::MpscBlockingQueue.
+/// on the hot path; the semaphores serialize logical access. For a real
+/// cross-thread queue see queueing::MpmcQueue.
 template <typename T>
 class SimQueue {
  public:

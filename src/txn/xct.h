@@ -64,7 +64,8 @@ struct Xct {
 
   /// Threaded backend only: serializes the mutable fields above
   /// (undo_chain, held_locks, last_lsn, begin_logged) when actions of one
-  /// transaction run concurrently on different partition agent threads.
+  /// transaction run concurrently on different threads (a parked action
+  /// runs on the client whose release woke it).
   /// Lock/release sites take it for the duration of one call and never
   /// nest two transactions' mutexes, so no ordering discipline is needed.
   /// The simulator backend is single-threaded and never locks it.

@@ -120,69 +120,93 @@ TEST(DispatchAllocTest, DisabledTracerStaysAllocationFree) {
   EXPECT_EQ(tracer.total_recorded(), 0u);
 }
 
-// The threaded backend's dispatch cycle — freelist acquire, arena lock
-// keys, MPSC mailbox push, agent-side lock/execute, the release under the
-// partition's token — must
-// be equally allocation-free once the pool, the lock tables, and each
-// agent thread's coroutine-frame pool have warmed up. The reused Xct
-// mirrors the simulated cycle above (Execute's per-transaction Xct owns
-// growing vectors by design; the dispatch layer underneath it is what is
-// pinned here).
-TEST(DispatchAllocTest, ThreadedSteadyStateCycleIsAllocationFree) {
-  sim::Simulator sim;
-  engine::EngineConfig cfg = engine::EngineConfig::Dora();
-  cfg.num_partitions = 4;
-  engine::Engine engine(&sim, cfg);
-  exec::ThreadedBackend backend(&engine, exec::ThreadedBackend::Config{});
-  backend.Start();
-
-  std::vector<std::string> keys;
-  for (int i = 0; i < 64; ++i) keys.push_back("k" + std::to_string(i));
-
-  txn::Xct xct;
-  uint64_t steady = 0;
-  for (uint64_t i = 0; i < kWarmup + kMeasured; ++i) {
-    if (i == kWarmup) steady = bench::AllocCount();
-    xct.id = i + 1;
-    xct.priority = i + 1;
-    dora::Rvp rvp(&sim, 1, /*threaded=*/true);
-    dora::Action* a = backend.AcquireAction();
-    a->xct = &xct;
-    a->rvp = &rvp;
-    a->socket = 0;
-    a->AddLockKey(Slice(keys[i % keys.size()]));
-    a->fn = [](dora::ActionContext&) -> sim::Task<Status> {
-      co_return Status::OK();
-    };
-    backend.Dispatch(a);
-    Status st = sim::RunToCompletion(rvp.Wait());
-    BIONICDB_CHECK(st.ok());
-    backend.ReleaseTxnLocks(&xct);
+/// A started threaded backend over a 4-partition DORA engine with no
+/// tables: the layer under Execute, driven one step at a time.
+struct ThreadedRig {
+  static engine::EngineConfig Config() {
+    engine::EngineConfig cfg = engine::EngineConfig::Dora();
+    cfg.num_partitions = 4;
+    return cfg;
   }
-  steady = bench::AllocCount() - steady;
-  EXPECT_EQ(backend.stats().actions_executed, kWarmup + kMeasured);
-  const size_t allocated = backend.actions_allocated();
-  backend.Shutdown();
-  ExpectSteadyStateAllocFree(steady);
-  // The pool stopped growing after warmup (one action in flight at a time).
-  EXPECT_LE(allocated, 4u);
+  ThreadedRig() : engine(&sim, Config()), backend(&engine, {}) {
+    backend.Start();
+  }
+  sim::Simulator sim;
+  engine::Engine engine;
+  exec::ThreadedBackend backend;
+};
+
+/// Fills a pooled action of `xct` that locks `key` and does nothing.
+dora::Action* NoOpAction(exec::ThreadedBackend* backend, txn::Xct* xct,
+                         dora::Rvp* rvp, Slice key) {
+  dora::Action* a = backend->AcquireAction();
+  a->xct = xct;
+  a->rvp = rvp;
+  a->AddLockKey(key);
+  a->fn = [](dora::ActionContext&) -> sim::Task<Status> {
+    co_return Status::OK();
+  };
+  return a;
 }
 
-// The same cycle through the path Engine::RunPhaseDora takes: with one
-// client every mailbox stays empty and every token free, so
-// RunOrDispatch locks and runs each action on this thread. That path —
-// the token, the reused woken list, the caller's own coroutine-frame
-// pool — allocates nothing either.
-TEST(DispatchAllocTest, ThreadedInlineCycleIsAllocationFree) {
-  sim::Simulator sim;
-  engine::EngineConfig cfg = engine::EngineConfig::Dora();
-  cfg.num_partitions = 4;
-  engine::Engine engine(&sim, cfg);
-  exec::ThreadedBackend backend(&engine, exec::ThreadedBackend::Config{});
-  backend.Start();
+/// The threaded backend's step cycle — freelist acquire, fixed-width lock
+/// keys, Run (token, lock, execute, arrive), the release under the token —
+/// on this thread. The reused Xct mirrors the simulated cycle above
+/// (Execute's per-transaction Xct owns growing vectors by design; the layer
+/// underneath it is what is pinned here). `key_of(i, buf)` is cycle i's
+/// lock key. Returns the steady-state allocation count.
+template <typename KeyOf>
+uint64_t ThreadedCycles(ThreadedRig* rig, KeyOf key_of) {
+  txn::Xct xct;
+  uint64_t steady = 0;
+  for (uint64_t i = 0; i < kWarmup + kMeasured; ++i) {
+    if (i == kWarmup) steady = bench::AllocCount();
+    xct.id = i + 1;
+    xct.priority = i + 1;
+    dora::Rvp rvp(&rig->sim, 1, /*threaded=*/true);
+    char buf[16];
+    rig->backend.Run(NoOpAction(&rig->backend, &xct, &rvp, key_of(i, buf)));
+    BIONICDB_CHECK(sim::RunToCompletion(rvp.Wait()).ok());
+    rig->backend.ReleaseTxnLocks(&xct);
+  }
+  return bench::AllocCount() - steady;
+}
 
+// The threaded cycle over warm keys allocates nothing once the pool, the
+// lock tables, the reused woken lists and this thread's coroutine-frame
+// pool have warmed up.
+TEST(DispatchAllocTest, ThreadedSteadyStateCycleIsAllocationFree) {
+  ThreadedRig rig;
   std::vector<std::string> keys;
   for (int i = 0; i < 64; ++i) keys.push_back("k" + std::to_string(i));
+  const uint64_t steady = ThreadedCycles(
+      &rig,
+      [&](uint64_t i, char (&)[16]) { return Slice(keys[i % keys.size()]); });
+  EXPECT_EQ(rig.backend.stats().actions_executed, kWarmup + kMeasured);
+  // The pool stopped growing after warmup (one action in flight at a time).
+  EXPECT_LE(rig.backend.actions_allocated(), 4u);
+  rig.backend.Shutdown();  // CHECKs that every partition's tables are empty
+  ExpectSteadyStateAllocFree(steady);
+}
+
+// The cycle as Engine::RunPhaseDora issues it: a phase of one action per
+// partition on one threaded Rvp, each run inline on this thread, then one
+// release that takes every partition's token in turn. The multi-arrival
+// Rvp and the release's walk over several lanes allocate nothing either.
+TEST(DispatchAllocTest, ThreadedInlineCycleIsAllocationFree) {
+  ThreadedRig rig;
+  const uint32_t parts = rig.backend.num_partitions();
+  // 16 keys per partition, grouped by where the backend routes them.
+  std::vector<std::vector<std::string>> keys(parts);
+  uint32_t full = 0;
+  for (int i = 0; full < parts && i < 100000; ++i) {
+    std::string k = "k" + std::to_string(i);
+    auto& in_part = keys[rig.engine.executor()->Route(txn::LockKey(k).hash())];
+    if (in_part.size() == 16) continue;
+    in_part.push_back(std::move(k));
+    if (in_part.size() == 16) ++full;
+  }
+  ASSERT_EQ(full, parts);
 
   txn::Xct xct;
   uint64_t steady = 0;
@@ -190,25 +214,56 @@ TEST(DispatchAllocTest, ThreadedInlineCycleIsAllocationFree) {
     if (i == kWarmup) steady = bench::AllocCount();
     xct.id = i + 1;
     xct.priority = i + 1;
-    dora::Rvp rvp(&sim, 1, /*threaded=*/true);
-    dora::Action* a = backend.AcquireAction();
-    a->xct = &xct;
-    a->rvp = &rvp;
-    a->socket = 0;
-    a->AddLockKey(Slice(keys[i % keys.size()]));
-    a->fn = [](dora::ActionContext&) -> sim::Task<Status> {
-      co_return Status::OK();
-    };
-    backend.RunOrDispatch(a);
-    Status st = sim::RunToCompletion(rvp.Wait());
-    BIONICDB_CHECK(st.ok());
-    backend.ReleaseTxnLocks(&xct);
+    dora::Rvp rvp(&rig.sim, static_cast<int>(parts), /*threaded=*/true);
+    for (uint32_t p = 0; p < parts; ++p) {
+      rig.backend.Run(NoOpAction(&rig.backend, &xct, &rvp,
+                                 Slice(keys[p][i % keys[p].size()])));
+    }
+    BIONICDB_CHECK(sim::RunToCompletion(rvp.Wait()).ok());
+    rig.backend.ReleaseTxnLocks(&xct);
   }
   steady = bench::AllocCount() - steady;
-  const exec::ThreadedStats stats = backend.stats();
-  EXPECT_EQ(stats.actions_executed, kWarmup + kMeasured);
-  EXPECT_EQ(stats.actions_inline, kWarmup + kMeasured);
-  backend.Shutdown();  // CHECKs that every partition's tables are empty
+  const exec::ThreadedStats stats = rig.backend.stats();
+  EXPECT_EQ(stats.actions_executed, parts * (kWarmup + kMeasured));
+  EXPECT_EQ(stats.actions_parked, 0u);
+  // Each Run returns its action to the pool before the next is acquired.
+  EXPECT_LE(rig.backend.actions_allocated(), 4u);
+  rig.backend.Shutdown();  // CHECKs that every partition's tables are empty
+  ExpectSteadyStateAllocFree(steady);
+}
+
+// The path a parked action takes. In each cycle a younger holder locks a
+// key, an older action parks on it, and the holder's release runs the
+// older action under the partition's token before it returns. Parking and
+// waking reuse the park table's free-listed nodes and the lane's woken
+// list, so the cycle allocates nothing either.
+TEST(DispatchAllocTest, ThreadedParkWakeCycleIsAllocationFree) {
+  ThreadedRig rig;
+  std::vector<std::string> keys;
+  for (int i = 0; i < 64; ++i) keys.push_back("k" + std::to_string(i));
+  txn::Xct holder;
+  txn::Xct older;
+  uint64_t steady = 0;
+  for (uint64_t i = 0; i < kWarmup + kMeasured; ++i) {
+    if (i == kWarmup) steady = bench::AllocCount();
+    older.id = older.priority = 2 * i + 1;
+    holder.id = holder.priority = 2 * i + 2;
+    dora::Rvp held(&rig.sim, 1, /*threaded=*/true);
+    dora::Rvp woken(&rig.sim, 1, /*threaded=*/true);
+    const Slice key(keys[i % keys.size()]);
+    rig.backend.Run(NoOpAction(&rig.backend, &holder, &held, key));
+    BIONICDB_CHECK(sim::RunToCompletion(held.Wait()).ok());
+    rig.backend.Run(NoOpAction(&rig.backend, &older, &woken, key));  // parks
+    rig.backend.ReleaseTxnLocks(&holder);  // runs the older action
+    BIONICDB_CHECK(sim::RunToCompletion(woken.Wait()).ok());
+    rig.backend.ReleaseTxnLocks(&older);
+  }
+  steady = bench::AllocCount() - steady;
+  const exec::ThreadedStats stats = rig.backend.stats();
+  EXPECT_EQ(stats.actions_parked, kWarmup + kMeasured);
+  EXPECT_EQ(stats.actions_executed, 2 * (kWarmup + kMeasured));
+  EXPECT_EQ(stats.wait_die_aborts, 0u);
+  rig.backend.Shutdown();  // CHECKs that every partition's tables are empty
   ExpectSteadyStateAllocFree(steady);
 }
 
@@ -270,36 +325,10 @@ TEST(DispatchAllocTest, FreshKeyCycleIsAllocationFree) {
 }
 
 TEST(DispatchAllocTest, ThreadedFreshKeyCycleIsAllocationFree) {
-  sim::Simulator sim;
-  engine::EngineConfig cfg = engine::EngineConfig::Dora();
-  cfg.num_partitions = 4;
-  engine::Engine engine(&sim, cfg);
-  exec::ThreadedBackend backend(&engine, exec::ThreadedBackend::Config{});
-  backend.Start();
-
-  txn::Xct xct;
-  uint64_t steady = 0;
-  for (uint64_t i = 0; i < kWarmup + kMeasured; ++i) {
-    if (i == kWarmup) steady = bench::AllocCount();
-    xct.id = i + 1;
-    xct.priority = i + 1;
-    dora::Rvp rvp(&sim, 1, /*threaded=*/true);
-    dora::Action* a = backend.AcquireAction();
-    a->xct = &xct;
-    a->rvp = &rvp;
-    char key[16];
-    a->AddLockKey(FreshPairKey(i, key));
-    a->fn = [](dora::ActionContext&) -> sim::Task<Status> {
-      co_return Status::OK();
-    };
-    backend.Dispatch(a);
-    Status st = sim::RunToCompletion(rvp.Wait());
-    BIONICDB_CHECK(st.ok());
-    backend.ReleaseTxnLocks(&xct);
-  }
-  steady = bench::AllocCount() - steady;
-  EXPECT_EQ(backend.stats().actions_executed, kWarmup + kMeasured);
-  backend.Shutdown();  // CHECKs that every partition's tables are empty
+  ThreadedRig rig;
+  const uint64_t steady = ThreadedCycles(&rig, FreshPairKey);
+  EXPECT_EQ(rig.backend.stats().actions_executed, kWarmup + kMeasured);
+  rig.backend.Shutdown();  // CHECKs that every partition's tables are empty
   ExpectSteadyStateAllocFree(steady);
 }
 

@@ -7,8 +7,8 @@
 // reconstruction; the scan and maintenance ops must agree across backends;
 // and the crash harness must never find an acknowledged commit missing
 // from the durable log. The substrate's own pieces — the leader/follower
-// group commit, the spin-then-park completion and the mailbox wakeup
-// protocol — get targeted cases of their own.
+// group commit, the spin-then-park completion and the partition token —
+// get targeted cases of their own.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -361,7 +362,8 @@ TEST_P(BackendModeTest, TatpConcurrentMatchesWalReplay) {
 }
 
 // The same oracle on 10 subscribers: four clients collide on every key, so
-// inline runs, parks, wait-die deaths and agent hand-offs interleave.
+// token waits, parks, wait-die deaths and releases that run the actions
+// they woke interleave.
 TEST_P(BackendModeTest, TatpHotKeysMatchWalReplay) {
   ThreadedStats stats;
   ExpectConcurrentTatpMatchesWalReplay(GetParam(), 10, &stats);
@@ -724,13 +726,16 @@ engine::Table* LoadVals(Engine* engine) {
 }
 
 /// One single-action transaction on key `k` of `t`: an update or a read.
-Engine::TxnSpec OneKeyTxn(engine::Table* t, uint64_t k, bool write) {
+/// The step's body records the thread it ran on in `*ran_on`, if given.
+Engine::TxnSpec OneKeyTxn(engine::Table* t, uint64_t k, bool write,
+                          std::thread::id* ran_on = nullptr) {
   Engine::TxnStep step;
   step.table = t;
   step.keys = {index::EncodeKeyU64(k)};
   step.read_only = !write;
-  step.fn = [t, write, key = step.keys[0]](
+  step.fn = [t, write, ran_on, key = step.keys[0]](
                 Engine::ExecContext& c) -> sim::Task<Status> {
+    if (ran_on != nullptr) *ran_on = std::this_thread::get_id();
     if (write) co_return co_await c.engine->Update(c, t, key, IntRec(1));
     co_return (co_await c.engine->ReadView(c, t, key)).status();
   };
@@ -754,8 +759,8 @@ std::thread StartHeldWrite(ThreadedBackend* backend, engine::Table* t,
   return writer;
 }
 
-// With one client nothing is ever queued, so no agent ever takes a token:
-// every lock attempt runs on the client's own thread.
+// One client runs every step on its own thread and never meets a lock it
+// does not hold: nothing parks and nothing dies.
 TEST(ExecBackendInlineTest, OneClientRunsEveryActionInline) {
   for (EngineMode mode : {EngineMode::kDora, EngineMode::kBionic}) {
     SCOPED_TRACE(engine::EngineModeName(mode));
@@ -779,16 +784,15 @@ TEST(ExecBackendInlineTest, OneClientRunsEveryActionInline) {
     const ThreadedStats s = backend.stats();
     EXPECT_GT(s.actions_executed, options.measured_txns);
     EXPECT_EQ(s.actions_parked, 0u);
-    EXPECT_EQ(s.actions_inline, s.actions_executed + s.wait_die_aborts);
+    EXPECT_EQ(s.wait_die_aborts, 0u);
   }
 }
 
-// Park and wake across the two paths. A younger writer holds key 7 through
-// a long fsync; an older reader locks it inline and parks. The writer's
-// release pushes the parked action to the partition's mailbox, and the
-// agent retries it: both commit.
-TEST(ExecBackendInlineTest, InlineReleaseWakesParkedOlderReaderOnAgent) {
-  Watchdog watchdog("InlineReleaseWakesParkedOlderReaderOnAgent",
+// Park and wake. A younger writer holds key 7 through a long fsync; an
+// older reader locks it and parks. The writer's release wakes the parked
+// action and retries it on the writer's own thread: both commit.
+TEST(ExecBackendInlineTest, ReleaseRunsWokenOlderReaderOnWriterThread) {
+  Watchdog watchdog("ReleaseRunsWokenOlderReaderOnWriterThread",
                     std::chrono::seconds(120));
   Simulator sim;
   Engine engine(&sim, HarnessEngineConfig(EngineMode::kDora));
@@ -801,25 +805,26 @@ TEST(ExecBackendInlineTest, InlineReleaseWakesParkedOlderReaderOnAgent) {
   uint64_t older = engine.xct_manager().DrawPriority();
   Status wrote;
   std::thread writer = StartHeldWrite(&backend, t, &wrote);
-  const Status read = backend.Execute(OneKeyTxn(t, 7, false), &older);
+  const std::thread::id writer_id = writer.get_id();
+  std::thread::id read_ran_on;
+  const Status read =
+      backend.Execute(OneKeyTxn(t, 7, false, &read_ran_on), &older);
   writer.join();
   backend.Shutdown();
 
   EXPECT_TRUE(wrote.ok()) << wrote.message();
   EXPECT_TRUE(read.ok()) << read.message();
+  EXPECT_EQ(read_ran_on, writer_id);
   const ThreadedStats s = backend.stats();
   EXPECT_EQ(s.actions_parked, 1u);
   EXPECT_EQ(s.wait_die_aborts, 0u);
   EXPECT_EQ(s.actions_executed, 2u);
-  // The writer's action and the reader's first attempt ran inline; the
-  // reader's retry ran on the agent.
-  EXPECT_EQ(s.actions_inline, 2u);
 }
 
-// A release waits out the step its partition is running. The agent holds
-// the partition's token through a long action while a client releases a
-// key an older action is parked on: the release cannot finish before that
-// step does, and the action it wakes retries on the agent.
+// A release waits out the step its partition is running. A second client
+// holds the partition's token through a long step while this test releases
+// a key an older action is parked on: the release cannot finish before
+// that step does, and it runs the action it woke on its own thread.
 TEST(ExecBackendInlineTest, ReleaseWaitsForTheRunningStep) {
   Watchdog watchdog("ReleaseWaitsForTheRunningStep",
                     std::chrono::seconds(120));
@@ -840,25 +845,23 @@ TEST(ExecBackendInlineTest, ReleaseWaitsForTheRunningStep) {
 
   std::atomic<bool> running{false};
   std::atomic<bool> go{false};
-  // One single-key action of `xct`; a `spin` body holds its partition
-  // until `go`.
+  // One single-key action of `xct`. A `spin` body holds its partition
+  // until `go`; a body given `ran_on` records the thread it ran on.
   auto action = [&](txn::Xct* xct, dora::Rvp* rvp, const std::string& key,
-                    bool spin) {
+                    bool spin, std::thread::id* ran_on = nullptr) {
     dora::Action* a = backend.AcquireAction();
     a->xct = xct;
     a->rvp = rvp;
     a->AddLockKey(Slice(key));
-    if (spin) {
-      a->fn = [&running, &go](dora::ActionContext&) -> sim::Task<Status> {
+    a->fn = [&running, &go, spin,
+             ran_on](dora::ActionContext&) -> sim::Task<Status> {
+      if (ran_on != nullptr) *ran_on = std::this_thread::get_id();
+      if (spin) {
         running.store(true);
         while (!go.load()) std::this_thread::yield();
-        co_return Status::OK();
-      };
-    } else {
-      a->fn = [](dora::ActionContext&) -> sim::Task<Status> {
-        co_return Status::OK();
-      };
-    }
+      }
+      co_return Status::OK();
+    };
     return a;
   };
   txn::Xct older;
@@ -871,13 +874,15 @@ TEST(ExecBackendInlineTest, ReleaseWaitsForTheRunningStep) {
   dora::Rvp older_rvp(&sim, 1, /*threaded=*/true);
   dora::Rvp spin_rvp(&sim, 1, /*threaded=*/true);
 
-  // The younger holder locks `held` inline; the older action parks on it
-  // through the agent; then the agent runs the spinner.
-  backend.RunOrDispatch(action(&holder, &held_rvp, held, false));
+  // The younger holder locks `held`; the older action parks on it; then a
+  // second client runs the spinner and keeps the partition's token.
+  std::thread::id older_ran_on;
+  backend.Run(action(&holder, &held_rvp, held, false));
   ASSERT_TRUE(sim::RunToCompletion(held_rvp.Wait()).ok());
-  backend.Dispatch(action(&older, &older_rvp, held, false));
-  while (backend.stats().actions_parked == 0) std::this_thread::yield();
-  backend.Dispatch(action(&spinner, &spin_rvp, busy, true));
+  backend.Run(action(&older, &older_rvp, held, false, &older_ran_on));
+  ASSERT_EQ(backend.stats().actions_parked, 1u);
+  std::thread spin_client(
+      [&] { backend.Run(action(&spinner, &spin_rvp, busy, true)); });
   while (!running.load()) std::this_thread::yield();
 
   std::atomic<bool> released{false};
@@ -885,12 +890,15 @@ TEST(ExecBackendInlineTest, ReleaseWaitsForTheRunningStep) {
     backend.ReleaseTxnLocks(&holder);
     released.store(true);
   });
+  const std::thread::id releaser_id = releaser.get_id();
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(released.load());
   go.store(true);
   releaser.join();
+  spin_client.join();
   EXPECT_TRUE(sim::RunToCompletion(spin_rvp.Wait()).ok());
   EXPECT_TRUE(sim::RunToCompletion(older_rvp.Wait()).ok());
+  EXPECT_EQ(older_ran_on, releaser_id);
   backend.ReleaseTxnLocks(&older);
   backend.ReleaseTxnLocks(&spinner);
   backend.Shutdown();  // CHECKs that every partition's tables are empty
@@ -899,8 +907,6 @@ TEST(ExecBackendInlineTest, ReleaseWaitsForTheRunningStep) {
   EXPECT_EQ(s.actions_executed, 3u);
   EXPECT_EQ(s.actions_parked, 1u);
   EXPECT_EQ(s.wait_die_aborts, 0u);
-  // Only the holder's ran inline; the woken retry ran on the agent.
-  EXPECT_EQ(s.actions_inline, 1u);
 }
 
 // The reverse: a younger reader that meets an older holder inline dies at
@@ -930,88 +936,76 @@ TEST(ExecBackendInlineTest, YoungerInlineReaderDiesAndRetries) {
   EXPECT_EQ(s.wait_die_aborts, 1u);
   EXPECT_EQ(s.actions_parked, 0u);
   EXPECT_EQ(s.actions_executed, 2u);
-  EXPECT_EQ(s.actions_inline, 3u);
-}
-
-// Mailbox lost-wakeup regression. Push publishes through the ring's
-// release store and then reads `sleepers_`; without a fence between the
-// two (and after Pop's registration) x86 may reorder them, the consumer
-// sleeps with an item in its mailbox and both sides wait forever. A client
-// and an agent play request/reply ping-pong over two mailboxes, and the
-// client spaces each request by about the agent's spin budget, so it lands
-// while the agent parks — the moment the fences guard. The mailboxes are
-// as deep as the backend's, so each push writes a slot line the consumer
-// touched thousands of pushes ago, and the store lingers long enough to
-// be overtaken. Without Push's fence this hung 9 of 10 runs.
-TEST(ExecBackendMailboxTest, OneClientNeverLosesAWakeup) {
-  Watchdog watchdog("OneClientNeverLosesAWakeup (lost mailbox wakeup?)",
-                    std::chrono::seconds(240));
-  constexpr int kRounds = 40000;
-  MpscBlockingQueue<int> requests(4096);
-  MpscBlockingQueue<int> replies(4096);
-  std::thread agent([&] {
-    for (;;) {
-      const int request = requests.Pop();
-      replies.Push(request);
-      if (request < 0) return;
-    }
-  });
-  for (int round = 0; round < kRounds; ++round) {
-    // Sweep the push across the agent's switch from spinning to parking.
-    const int spacing = queueing::kSpinYieldsBeforePark - 16 + round % 32;
-    for (int i = 0; i < spacing; ++i) std::this_thread::yield();
-    requests.Push(round);
-    EXPECT_EQ(replies.Pop(), round);
-  }
-  requests.Push(-1);
-  EXPECT_EQ(replies.Pop(), -1);
-  agent.join();
 }
 
 // The client may destroy its stack completion the moment Wait() returns,
-// while agents are still returning from Arrive(). Each round puts a fresh
+// while arrivers are still returning from Arrive(). Each round puts a fresh
 // completion in the same stack slot, so an arriver that touched the old one
 // late would race the next constructor (TSan) or corrupt its count (hang,
 // caught by the watchdog). Rounds alternate between prompt arrivals (Wait
-// returns from its spin) and slow ones (Wait parks), with one agent
+// returns from its spin) and slow ones (Wait parks), with one arriver
 // reporting a failure on some rounds.
 TEST(ThreadedRvpTest, DestroyedAsSoonAsWaitReturns) {
   Watchdog watchdog("DestroyedAsSoonAsWaitReturns", std::chrono::seconds(120));
-  constexpr int kAgents = 4;
+  constexpr int kArrivers = 4;
   constexpr int kRounds = 3000;
   struct Job {
     dora::Rvp* rvp = nullptr;
     int round = 0;
   };
-  std::vector<std::unique_ptr<MpscBlockingQueue<Job>>> mailboxes;
-  std::vector<std::thread> agents;
-  for (int a = 0; a < kAgents; ++a) {
-    mailboxes.push_back(std::make_unique<MpscBlockingQueue<Job>>(4));
-  }
-  for (int a = 0; a < kAgents; ++a) {
-    agents.emplace_back([&, a] {
+  // Hands jobs to one arriver. Pop polls before it sleeps, as the RVP's
+  // waiter does, so a prompt round arrives while Wait still spins.
+  struct Channel {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::deque<Job> jobs;
+    void Push(Job job) {
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        jobs.push_back(job);
+      }
+      cv.notify_one();
+    }
+    Job Pop() {
+      std::unique_lock<std::mutex> lk(mu);
+      for (int spin = 0;
+           jobs.empty() && spin < queueing::kSpinYieldsBeforePark; ++spin) {
+        lk.unlock();
+        std::this_thread::yield();
+        lk.lock();
+      }
+      cv.wait(lk, [&] { return !jobs.empty(); });
+      const Job job = jobs.front();
+      jobs.pop_front();
+      return job;
+    }
+  };
+  std::vector<Channel> channels(kArrivers);
+  std::vector<std::thread> arrivers;
+  for (int a = 0; a < kArrivers; ++a) {
+    arrivers.emplace_back([&, a] {
       for (;;) {
-        const Job job = mailboxes[a]->Pop();
+        const Job job = channels[a].Pop();
         if (job.rvp == nullptr) return;
         if (job.round % 8 == 7) {
           std::this_thread::sleep_for(std::chrono::microseconds(300));
         } else if (job.round % 2 == 1) {
           for (int i = 0; i < a * 16; ++i) std::this_thread::yield();
         }
-        job.rvp->Arrive(job.round % 5 == 0 && a == job.round % kAgents
+        job.rvp->Arrive(job.round % 5 == 0 && a == job.round % kArrivers
                             ? Status::Aborted("round failure")
                             : Status::OK());
       }
     });
   }
   for (int round = 0; round < kRounds; ++round) {
-    dora::Rvp rvp(nullptr, kAgents, /*threaded=*/true);
-    for (int a = 0; a < kAgents; ++a) mailboxes[a]->Push(Job{&rvp, round});
+    dora::Rvp rvp(nullptr, kArrivers, /*threaded=*/true);
+    for (auto& channel : channels) channel.Push(Job{&rvp, round});
     EXPECT_EQ(sim::RunToCompletion(rvp.Wait()).IsAborted(), round % 5 == 0)
         << "round " << round;
   }
-  for (auto& m : mailboxes) m->Push(Job{});
-  for (auto& t : agents) t.join();
+  for (auto& channel : channels) channel.Push(Job{});
+  for (auto& t : arrivers) t.join();
 }
 
 // Wall-clock open loop: a real arrival thread offers load through the

@@ -42,9 +42,7 @@ dimensions, selected with --backend:
                 start one), and the flush count shrinks from t1 to t8;
               * machine-relative scaling: t8/t1 txn_per_sec >= 1.25 on
                 ANY host (group-commit overlap alone guarantees it with
-                the fsync stub), >= 1.6 when the host has 2+ cores;
-              * tatp_threaded_t1 ran every lock attempt inline (one
-                client queues nothing).
+                the fsync stub), >= 1.6 when the host has 2+ cores.
 
   all       Both (the default).
 
@@ -254,17 +252,6 @@ def check_threaded(wallclock):
         )
     print(f"ok: threaded TATP t{TATP_THREAD_SWEEP[-1]}/t1 scaling "
           f"{ratio:.2f}x (floor {floor:.2f}x, host_cores={host_cores:.0f})")
-
-    # 7. One client never queues anything behind an agent, so it runs every
-    # lock attempt on its own thread.
-    if t1["actions_inline"] != t1["action_attempts"]:
-        fail(
-            f"tatp_threaded_t1 ran {t1['actions_inline']:.0f} of "
-            f"{t1['action_attempts']:.0f} lock attempts inline; with one "
-            "client every one runs on its thread"
-        )
-    print(f"ok: tatp_threaded_t1 ran all {t1['action_attempts']:.0f} lock "
-          f"attempts inline")
 
 
 def check_overload(overload):
